@@ -3,10 +3,11 @@
 Every rule has a stable ID (``W...`` warp-IR, ``P...`` pipeline,
 ``F...`` format, the deployment families ``M...`` memory, ``T...``
 tensor-parallel, ``K...`` KV-cache, ``O...`` offload, ``D...``
-disaggregation, ``R...`` recovery/fault-tolerance, the determinism
-families ``S...`` source hazards, ``H...`` happens-before schedule
-races, and ``E...`` compiled execution plans) so CI gates, docs and
-tests can refer to findings without string-matching messages.
+disaggregation, ``R...`` recovery/fault-tolerance, ``C...``
+integrity, ``A...`` autoscaling, ``Q...`` server admission, and the
+determinism families ``S...`` source hazards and ``H...``
+happens-before schedule races) so CI gates, docs and tests can refer
+to findings without string-matching messages.
 
 The catalogue itself is a *registration table*: each lint module owns
 its family's :class:`Rule` definitions and registers them here at
@@ -100,7 +101,6 @@ _LINT_MODULES: Tuple[str, ...] = (
     "repro.analysis.server_lint",
     "repro.analysis.source_lint",
     "repro.analysis.schedule_lint",
-    "repro.analysis.plan_validator",
 )
 
 

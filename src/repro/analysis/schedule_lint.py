@@ -34,9 +34,7 @@ every builtin serving / disaggregation / chaos scenario must produce a
 race-free schedule log AND pass dual replay, while the deliberately
 broken schedules in :data:`BROKEN_SCHEDULES` must trip exactly their
 documented rules (a missing expected finding is an error — the checker
-itself regressed).  This is ROADMAP item 3's commutativity oracle: a
-schedule that passes H001+H002 can be lowered to a plan-once/execute-
-many form without re-deriving same-time ordering.
+itself regressed).
 """
 
 from __future__ import annotations

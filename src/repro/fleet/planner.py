@@ -25,7 +25,6 @@ pinned rounding, so two runs diff byte-identically (``cmp`` in CI).
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
@@ -137,9 +136,6 @@ def pareto_frontier(
 def _outcome_dict(outcome: FleetOutcome) -> Dict:
     stats = outcome.stats
     peak, trough = outcome.replica_extremes()
-    trace_digest = hashlib.sha256(
-        repr(stats.trace.event_log()).encode()
-    ).hexdigest()
     by_class: Dict[str, float] = {}
     for r in outcome.replicas:
         seconds = max(
@@ -198,7 +194,7 @@ def _outcome_dict(outcome: FleetOutcome) -> Dict:
             "retries": stats.retries,
             "preemptions": stats.preemptions,
         },
-        "trace_sha256": trace_digest,
+        "trace_sha256": stats.trace.digest(),
     }
 
 

@@ -22,7 +22,6 @@ byte-identical across runs, which is what the CI replay gate diffs.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
@@ -122,11 +121,6 @@ def run_integrity(
     return results
 
 
-def _trace_digest(stats: RuntimeStats) -> str:
-    log = repr(stats.trace.event_log()).encode()
-    return hashlib.sha256(log).hexdigest()
-
-
 def _plan_metrics(stats: RuntimeStats) -> Dict:
     injected = stats.sdc_injected
     detected = stats.sdc_detected
@@ -142,7 +136,7 @@ def _plan_metrics(stats: RuntimeStats) -> Dict:
         "verification_s": round(stats.verification_s, 9),
         "goodput_tokens_per_s": round(stats.goodput_tokens_per_s, 6),
         "makespan_s": round(stats.makespan_s, 9),
-        "trace_sha256": _trace_digest(stats),
+        "trace_sha256": stats.trace.digest(),
     }
 
 

@@ -16,7 +16,6 @@ every run, which is exactly what the CI replay gate diffs.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
@@ -220,13 +219,6 @@ def compare_recovery_policies(
     return {name: run_chaos(cfg, name) for name in names}
 
 
-def _trace_digest(stats: RuntimeStats) -> str:
-    """Content hash of the full event log — the replay-identity check
-    two chaos runs are compared by."""
-    log = repr(stats.trace.event_log()).encode()
-    return hashlib.sha256(log).hexdigest()
-
-
 def _policy_metrics(stats: RuntimeStats) -> Dict:
     return {
         "completed": len(stats.completed),
@@ -243,7 +235,7 @@ def _policy_metrics(stats: RuntimeStats) -> Dict:
         "availability": round(stats.availability, 6),
         "retries_per_request": round(stats.retries_per_request, 6),
         "makespan_s": round(stats.makespan_s, 9),
-        "trace_sha256": _trace_digest(stats),
+        "trace_sha256": stats.trace.digest(),
     }
 
 

@@ -49,9 +49,6 @@ class ScheduleRecord:
     writes: FrozenSet[WriteKey] = frozenset()
     #: Trace-event kinds emitted during dispatch (diagnostic labels).
     kinds: Tuple[str, ...] = ()
-    #: ``[start, end)`` slice of the attached trace's event list emitted
-    #: during this dispatch — the plan compiler's lowering input.
-    trace_span: Tuple[int, int] = (0, 0)
 
     @property
     def dispatched(self) -> bool:
@@ -68,7 +65,6 @@ class ScheduleRecord:
             "cancelled": self.cancelled,
             "writes": sorted(str(w) for w in self.writes),
             "kinds": list(self.kinds),
-            "trace_span": list(self.trace_span),
         }
 
 
@@ -186,6 +182,5 @@ class ScheduleRecorder:
                 writes.update(ev.write_keys())
             rec.writes = frozenset(writes)
             rec.kinds = tuple(ev.kind for ev in emitted)
-            rec.trace_span = (self._mark, end)
             self._mark = end
         self._current = None

@@ -14,6 +14,7 @@ end of a run.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -127,6 +128,11 @@ class RuntimeTrace:
     def event_log(self) -> List[Tuple]:
         """The canonical comparison form for determinism assertions."""
         return [e.key() for e in self.events]
+
+    def digest(self) -> str:
+        """SHA-256 (hex) of :meth:`event_log` — the ``trace_sha256`` key
+        two ``--json`` replays are compared by."""
+        return hashlib.sha256(repr(self.event_log()).encode()).hexdigest()
 
     def count(self, kind: str) -> int:
         return sum(1 for e in self.events if e.kind == kind)
