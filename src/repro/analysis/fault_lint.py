@@ -19,7 +19,7 @@ demoted to notes so the gate stays green.
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Dict, List, Tuple
 
 from ..runtime.faults import (
     BROKEN_RECOVERY_POLICIES,
@@ -129,6 +129,45 @@ def lint_recovery_policy(
     return findings
 
 
+#: A finished run's terminal buckets (``RuntimeStats`` fields), in
+#: report order.
+TERMINAL_BUCKETS = (
+    "completed", "rejected", "failed", "shed", "timed_out", "cancelled",
+)
+
+
+def lint_terminal_partition(
+    stats, rule_id: str, noun: str, subject: str
+) -> Tuple[List[Finding], int]:
+    """Every request in at most one of ``stats``' terminal buckets.
+
+    Returns a ``rule_id`` finding per request seen twice (``noun`` names
+    it: "request", "turn") and the number of bucket entries, so a caller
+    that knows how many requests were submitted can check none was lost.
+    Shared by the R005 and A005 conservation audits.
+    """
+    findings: List[Finding] = []
+    seen: Dict[int, str] = {}
+    entries = 0
+    for name in TERMINAL_BUCKETS:
+        for req in getattr(stats, name):
+            entries += 1
+            rid = req.request_id
+            if rid in seen:
+                findings.append(
+                    Finding(
+                        rule_id,
+                        f"{noun} {rid} is in two terminal buckets: "
+                        f"{seen[rid]} and {name}",
+                        subject=subject,
+                        location=rid,
+                    )
+                )
+            else:
+                seen[rid] = name
+    return findings, entries
+
+
 def lint_fault_outcome(stats, subject: str = "chaos") -> List[Finding]:
     """R005 conservation audit over a finished run's ``RuntimeStats``.
 
@@ -137,31 +176,7 @@ def lint_fault_outcome(stats, subject: str = "chaos") -> List[Finding]:
     Duck-typed like the K-rule allocator audit so corrupted snapshots
     from tests exercise the same path as live runs.
     """
-    findings: List[Finding] = []
-    buckets = (
-        ("completed", stats.completed),
-        ("rejected", stats.rejected),
-        ("failed", stats.failed),
-        ("shed", stats.shed),
-        ("timed_out", stats.timed_out),
-        ("cancelled", stats.cancelled),
-    )
-    seen = {}
-    for name, requests in buckets:
-        for req in requests:
-            rid = req.request_id
-            if rid in seen:
-                findings.append(
-                    Finding(
-                        "R005",
-                        f"request {rid} is in two terminal buckets: "
-                        f"{seen[rid]} and {name}",
-                        subject=subject,
-                        location=rid,
-                    )
-                )
-            else:
-                seen[rid] = name
+    findings, _ = lint_terminal_partition(stats, "R005", "request", subject)
     for req in stats.completed:
         if req.generated != req.output_len:
             findings.append(
@@ -196,20 +211,6 @@ def lint_fault_outcome(stats, subject: str = "chaos") -> List[Finding]:
     return findings
 
 
-def _expect_findings(
-    findings: Iterable[Finding], expected_rules: Iterable[str], subject: str
-) -> List[Finding]:
-    """Reconcile a broken builtin's findings with its documentation
-    (shared machinery in :func:`repro.analysis.findings.
-    reconcile_expected`)."""
-    return reconcile_expected(
-        list(findings),
-        sorted(set(expected_rules)),
-        subject,
-        context="builtin broken policy",
-    )
-
-
 def check_builtin_fault_artifacts(run_chaos: bool = True) -> Report:
     """The ``repro lint --faults`` sweep.
 
@@ -226,10 +227,11 @@ def check_builtin_fault_artifacts(run_chaos: bool = True) -> Report:
     for name in sorted(BROKEN_RECOVERY_POLICIES):
         policy, expected = BROKEN_RECOVERY_POLICIES[name]
         report.extend(
-            _expect_findings(
+            reconcile_expected(
                 lint_recovery_policy(policy),
                 expected,
                 subject=f"recovery:{policy.name}",
+                context="builtin broken policy",
             )
         )
         report.checked += 1

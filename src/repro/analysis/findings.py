@@ -224,8 +224,8 @@ class Finding:
 
 
 def reconcile_expected(
-    findings: Sequence[Finding],
-    expected_rules: Sequence[str],
+    findings: Iterable[Finding],
+    expected_rules: Iterable[str],
     subject: str,
     context: str = "builtin broken artifact",
 ) -> List[Finding]:
@@ -235,8 +235,10 @@ def reconcile_expected(
     testing the checker, not judging the artifact); an expected rule
     that did NOT fire is promoted to a fresh ERROR — the checker
     regressed and its CI gate must fail.  Unexpected findings pass
-    through at their native severity.
+    through at their native severity.  ``expected_rules`` may repeat
+    an ID; each missing rule is reported once, in ID order.
     """
+    expected_rules = sorted(set(expected_rules))
     out: List[Finding] = []
     seen = set()
     for f in findings:

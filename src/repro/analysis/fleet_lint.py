@@ -24,13 +24,14 @@ and the runtime-trace rules.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, List
+from typing import TYPE_CHECKING, List
 
 from .deploy_model import (
     kv_plan_for_spec,
     spec_kv_budget_bytes,
     spec_kv_bytes_per_token,
 )
+from .fault_lint import lint_terminal_partition
 from .findings import (
     Finding,
     Report,
@@ -174,34 +175,8 @@ def lint_fleet_outcome(outcome, subject: str = "fleet") -> List[Finding]:
     Duck-typed (like the R005 audit) so corrupted outcomes from tests
     exercise the same path as live runs.
     """
-    findings: List[Finding] = []
     stats = outcome.stats
-    buckets = (
-        ("completed", stats.completed),
-        ("rejected", stats.rejected),
-        ("failed", stats.failed),
-        ("shed", stats.shed),
-        ("timed_out", stats.timed_out),
-        ("cancelled", stats.cancelled),
-    )
-    seen = {}
-    terminal = 0
-    for name, requests in buckets:
-        for req in requests:
-            terminal += 1
-            rid = req.request_id
-            if rid in seen:
-                findings.append(
-                    Finding(
-                        "A005",
-                        f"turn {rid} is in two terminal buckets: "
-                        f"{seen[rid]} and {name}",
-                        subject=subject,
-                        location=rid,
-                    )
-                )
-            else:
-                seen[rid] = name
+    findings, terminal = lint_terminal_partition(stats, "A005", "turn", subject)
     if terminal != outcome.turns_submitted:
         findings.append(
             Finding(
@@ -272,17 +247,6 @@ def lint_fleet_outcome(outcome, subject: str = "fleet") -> List[Finding]:
     return findings
 
 
-def _expect_findings(
-    findings: Iterable[Finding], expected_rules: Iterable[str], subject: str
-) -> List[Finding]:
-    return reconcile_expected(
-        list(findings),
-        sorted(set(expected_rules)),
-        subject,
-        context="builtin broken policy",
-    )
-
-
 def check_builtin_fleet_artifacts(run_fleet: bool = True) -> Report:
     """The ``repro lint --fleet`` sweep.
 
@@ -310,10 +274,11 @@ def check_builtin_fleet_artifacts(run_fleet: bool = True) -> Report:
     for name in sorted(BROKEN_AUTOSCALER_POLICIES):
         policy, expected = BROKEN_AUTOSCALER_POLICIES[name]
         report.extend(
-            _expect_findings(
+            reconcile_expected(
                 lint_autoscaler_policy(policy),
                 expected,
                 subject=f"autoscaler:{policy.name}",
+                context="builtin broken policy",
             )
         )
         report.checked += 1

@@ -19,7 +19,7 @@ quick live run per SDC plan and arm must audit clean.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 from ..integrity.policy import (
     BROKEN_INTEGRITY_POLICIES,
@@ -211,17 +211,6 @@ def lint_integrity_outcome(
     return findings
 
 
-def _expect_findings(
-    findings: Iterable[Finding], expected_rules: Iterable[str], subject: str
-) -> List[Finding]:
-    return reconcile_expected(
-        list(findings),
-        sorted(set(expected_rules)),
-        subject,
-        context="builtin broken policy",
-    )
-
-
 class _SyntheticStats:
     """Minimal stats double for the outcome probes (duck-typed)."""
 
@@ -250,10 +239,11 @@ def check_builtin_integrity_artifacts(run_live: bool = True) -> Report:
     for name in sorted(BROKEN_INTEGRITY_POLICIES):
         policy, expected = BROKEN_INTEGRITY_POLICIES[name]
         report.extend(
-            _expect_findings(
+            reconcile_expected(
                 lint_integrity_policy(policy),
                 expected,
                 subject=f"integrity:{policy.name}",
+                context="builtin broken policy",
             )
         )
         report.checked += 1
@@ -262,7 +252,7 @@ def check_builtin_integrity_artifacts(run_live: bool = True) -> Report:
     # unbalanced ledger.  Both must trip, or the outcome audit regressed.
     verify = INTEGRITY_POLICIES["verify"]
     report.extend(
-        _expect_findings(
+        reconcile_expected(
             lint_integrity_outcome(
                 _SyntheticStats(
                     sdc_injected=3, sdc_detected=3, corrupted_completed=2
@@ -272,11 +262,12 @@ def check_builtin_integrity_artifacts(run_live: bool = True) -> Report:
             ),
             ("C002",),
             subject="probe:detected-but-served",
+            context="builtin broken policy",
         )
     )
     report.checked += 1
     report.extend(
-        _expect_findings(
+        reconcile_expected(
             lint_integrity_outcome(
                 _SyntheticStats(sdc_injected=1, sdc_detected=4),
                 verify,
@@ -284,6 +275,7 @@ def check_builtin_integrity_artifacts(run_live: bool = True) -> Report:
             ),
             ("C005",),
             subject="probe:unbalanced-ledger",
+            context="builtin broken policy",
         )
     )
     report.checked += 1

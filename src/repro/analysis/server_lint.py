@@ -259,17 +259,6 @@ def lint_token_stream(events: Iterable, subject: str = "stream") -> List[Finding
     return findings
 
 
-def _expect_findings(
-    findings: Iterable[Finding], expected_rules: Iterable[str], subject: str
-) -> List[Finding]:
-    return reconcile_expected(
-        list(findings),
-        sorted(set(expected_rules)),
-        subject,
-        context="builtin broken policy",
-    )
-
-
 def check_builtin_server_artifacts(run_server: bool = True) -> Report:
     """The ``repro lint --server`` sweep.
 
@@ -289,10 +278,11 @@ def check_builtin_server_artifacts(run_server: bool = True) -> Report:
     for name in sorted(BROKEN_SERVER_POLICIES):
         policy, expected = BROKEN_SERVER_POLICIES[name]
         report.extend(
-            _expect_findings(
+            reconcile_expected(
                 lint_server_policy(policy),
                 expected,
                 subject=f"server-policy:{policy.name}",
+                context="builtin broken policy",
             )
         )
         report.checked += 1
@@ -321,10 +311,11 @@ def check_builtin_server_artifacts(run_server: bool = True) -> Report:
             swapped = list(events)
             swapped[0], swapped[-1] = swapped[-1], swapped[0]
             report.extend(
-                _expect_findings(
+                reconcile_expected(
                     lint_token_stream(swapped, subject="stream:swapped"),
                     ("Q003",),
                     subject="stream:swapped",
+                    context="builtin broken policy",
                 )
             )
             report.checked += 1
@@ -334,12 +325,13 @@ def check_builtin_server_artifacts(run_server: bool = True) -> Report:
             mine = [ev for ev in events if ev.request_id == rid]
             post_final = [mine[-1]] + mine[:-1]
             report.extend(
-                _expect_findings(
+                reconcile_expected(
                     lint_token_stream(
                         post_final, subject="stream:post-final"
                     ),
                     ("Q003",),
                     subject="stream:post-final",
+                    context="builtin broken policy",
                 )
             )
             report.checked += 1

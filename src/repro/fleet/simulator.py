@@ -1,16 +1,21 @@
 """The multi-node autoscaling fleet simulator.
 
-This is the first subsystem that exercises every prior pillar at once:
+:class:`FleetSimulator` drives the session server
+(:class:`~repro.server.streaming.StreamingServer`) over a replica set
+that an :class:`AutoscalerPolicy` grows and shrinks:
 
 1. replica classes come from the deployment layer (each one a
    lint-validated :class:`DeploymentSpec`, priced in $/GPU-hour);
-2. replicas are :class:`~repro.runtime.core.GPUPool`s behind one
-   :class:`~repro.runtime.faults.FaultTolerantRuntime`, so crashes,
-   stragglers and recovery policies compose with scaling for free;
-3. sessions ride the PR-8 prefix machinery — and on scale-down, a
-   draining replica *migrates* its session KV to a survivor
-   (:meth:`SessionManager.migrate_prefix`) instead of forcing every
-   session to re-prefill its history.
+2. replicas are :class:`~repro.runtime.core.GPUPool`s behind the
+   server's :class:`~repro.runtime.faults.FaultTolerantRuntime`, so
+   crashes, stragglers and recovery policies compose with scaling for
+   free;
+3. sessions, turn chaining and prefix reuse are the server's — and on
+   scale-down, a draining replica *migrates* its session KV to a
+   survivor (:meth:`SessionManager.migrate_prefix`) instead of forcing
+   every session to re-prefill its history.
+
+The fleet admits every turn (:data:`ADMIT_ALL`) and streams no tokens.
 
 Scaling is event-driven and fully deterministic: an
 :class:`AutoscalerPolicy` is evaluated on a fixed cadence as timed
@@ -27,24 +32,22 @@ whole reason static over-provisioning loses on cost.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..gpu.specs import get_gpu
 from ..llm.serving import ServingConfig, ServingSimulator
-from ..runtime import (
-    EventLoop,
-    FaultPlan,
-    FaultTolerantRuntime,
-    RuntimeStats,
-    SessionRequest,
-)
+from ..runtime import EventLoop, FaultPlan, RuntimeStats
 from ..runtime.events import EventKind
-from ..server.sessions import SessionManager, SessionSpec
+from ..server.admission import ServerPolicy
+from ..server.sessions import SessionSpec
+from ..server.streaming import StreamingServer
 from .autoscaler import AutoscalerPolicy
 from .spec import FleetSpec, ReplicaClass
 
 __all__ = [
+    "ADMIT_ALL",
     "ReplicaInfo",
     "FleetOutcome",
     "FleetSimulator",
@@ -52,6 +55,15 @@ __all__ = [
 
 #: TTFT ceiling used for the goodput-SLO attainment metric (seconds).
 SLO_TTFT_S = 1.0
+
+#: The fleet's front door: one unbounded bucket, one tier and no tenant
+#: quota, so every turn is admitted on arrival.
+ADMIT_ALL = ServerPolicy(
+    name="admit-all",
+    bucket_bounds=(sys.maxsize,),
+    priority_tiers=1,
+    tenant_quota_tokens=None,
+)
 
 
 @dataclass
@@ -142,8 +154,13 @@ class FleetOutcome:
         return peak, max(0, trough if trough is not None else 0)
 
 
-class FleetSimulator:
-    """Drive one traffic workload through one autoscaling policy."""
+class FleetSimulator(StreamingServer):
+    """A :class:`StreamingServer` whose replica set an
+    :class:`AutoscalerPolicy` grows and shrinks.
+
+    The session lifecycle (turn chaining, prefix reuse, teardown) is the
+    server's; the fleet adds replica provisioning, draining and cost
+    accounting.  It admits every turn and streams no tokens."""
 
     def __init__(
         self,
@@ -152,14 +169,11 @@ class FleetSimulator:
         recovery,
         fault_plan: Optional[FaultPlan] = None,
         horizon_s: float = 16.0,
-        sched_policy: str = "fcfs",
-        chunk_tokens: int = 128,
         loop: Optional[EventLoop] = None,
     ) -> None:
         self.fleet = fleet
         self.policy = policy
         self.horizon_s = horizon_s
-        self.loop = loop if loop is not None else EventLoop()
         self._sims: Dict[str, ServingSimulator] = {}
         for cls in fleet.classes:
             self._sims[cls.name] = ServingSimulator(
@@ -168,10 +182,6 @@ class FleetSimulator:
                     framework=cls.framework,
                     gpu=cls.gpu,
                     max_batch=cls.max_batch,
-                    policy=sched_policy,
-                    chunked_prefill=True,
-                    chunk_tokens=chunk_tokens,
-                    preemption=True,
                     kv_cap_tokens=cls.kv_cap_tokens,
                 )
             )
@@ -192,29 +202,9 @@ class FleetSimulator:
                 name=name, cls=cls, up_s=0.0, ready_s=0.0
             )
             pools.append(self._build_pool(cls, name))
-        self.runtime = FaultTolerantRuntime(
-            pools,
-            recovery,
-            policy=sched_policy,
-            prefill_mode="chunked",
-            chunk_tokens=chunk_tokens,
-            preemption=True,
-            fault_plan=fault_plan,
-            loop=self.loop,
+        super().__init__(
+            pools, recovery, ADMIT_ALL, fault_plan=fault_plan, loop=loop
         )
-        self.sessions = SessionManager(self.runtime, enabled=True)
-        self.runtime.terminal_listener = self._on_terminal
-        # Session/turn bookkeeping (the lean cousin of StreamingServer).
-        self._specs: Dict[int, SessionSpec] = {}
-        self._turn_of: Dict[int, Tuple[int, int]] = {}
-        self._history: Dict[int, int] = {}
-        self._next_request_id = 0
-        self._open_sessions = 0
-        self.requests: List[SessionRequest] = []
-        self.sessions_completed = 0
-        self.sessions_aborted = 0
-        self.prefix_leaks: Dict[int, List[Tuple[str, int]]] = {}
-        # Scaling bookkeeping.
         self._last_scale_t = -math.inf
         self.scale_ups = 0
         self.scale_downs = 0
@@ -308,7 +298,7 @@ class FleetSimulator:
             self._last_scale_t = now
         if (
             now < self.horizon_s
-            or self._open_sessions > 0
+            or len(self._specs) > self.sessions_completed + self.sessions_aborted
             or any(
                 r.state in ("booting", "draining", "retiring")
                 for r in self.replicas.values()
@@ -443,86 +433,21 @@ class FleetSimulator:
         info.down_s = self.loop.now
         self.scale_downs += 1
 
-    # ---- turn lifecycle (StreamingServer's, minus the gate) --------------------------
-
-    def _begin_turn(self, session_id: int, turn_idx: int) -> None:
-        spec = self._specs[session_id]
-        turn = spec.turns[turn_idx]
-        history = self._history.get(session_id, 0)
-        req = SessionRequest(
-            request_id=self._next_request_id,
-            arrival_s=self.loop.now,
-            prompt_len=history + turn.new_tokens,
-            output_len=turn.output_len,
-            session_id=session_id,
-            turn=turn_idx,
-            tenant=spec.tenant,
-            priority=spec.priority,
-            cached_tokens=history,
-        )
-        self._next_request_id += 1
-        self.requests.append(req)
-        self._turn_of[req.request_id] = (session_id, turn_idx)
-        prefer = self.sessions.pool_for(session_id)
-        self.runtime.submit(req, prefer=prefer)
-
-    def _abort_session(self, session_id: int) -> None:
-        self.sessions_aborted += 1
-        self._open_sessions -= 1
-        leaked = self.sessions.end_session(session_id)
-        if leaked:
-            self.prefix_leaks[session_id] = leaked
+    # ---- server hooks ----------------------------------------------------------------
 
     def _on_terminal(self, req) -> None:
-        info = self._turn_of.pop(req.request_id, None)
-        if info is not None:
-            session_id, turn_idx = info
-            spec = self._specs[session_id]
-            completed = (
-                req.finish_s is not None and req.generated >= req.output_len
-            )
-            if not completed:
-                self._abort_session(session_id)
-            else:
-                self._history[session_id] = req.prompt_len + req.output_len
-                if turn_idx + 1 < len(spec.turns):
-                    think = spec.turns[turn_idx + 1].think_s
-                    self.loop.schedule_after(
-                        think,
-                        (lambda s, t: lambda: self._begin_turn(s, t))(
-                            session_id, turn_idx + 1
-                        ),
-                    )
-                else:
-                    self.sessions_completed += 1
-                    self._open_sessions -= 1
-                    leaked = self.sessions.end_session(session_id)
-                    if leaked:
-                        self.prefix_leaks[session_id] = leaked
+        super()._on_terminal(req)
         # Terminals are the drain's progress signal: no polling needed.
         self._check_drains()
+
+    def _schedule_sessions(self, specs: Sequence[SessionSpec]) -> None:
+        super()._schedule_sessions(specs)
+        self.loop.schedule_at(self.policy.interval_s, self._tick)
 
     # ---- entry point -----------------------------------------------------------------
 
     def run(self, specs: Sequence[SessionSpec]) -> FleetOutcome:
-        if not specs:
-            raise ValueError("empty session workload")
-        if len({s.session_id for s in specs}) != len(specs):
-            raise ValueError("session ids must be unique")
-        for spec in sorted(specs, key=lambda s: (s.start_s, s.session_id)):
-            self._specs[spec.session_id] = spec
-            self._open_sessions += 1
-            self.loop.schedule_at(
-                spec.start_s,
-                (lambda sid: lambda: self._begin_turn(sid, 0))(
-                    spec.session_id
-                ),
-            )
-        self.loop.schedule_at(self.policy.interval_s, self._tick)
-        self.loop.run()
-        for session_id, leaked in self.sessions.teardown().items():
-            self.prefix_leaks.setdefault(session_id, leaked)
-        stats = self.runtime.finalize()
+        stats = super().run(specs)
         self._mark_crashes()
         slo_attained = sum(
             1

@@ -452,11 +452,11 @@ def get_recovery_policy(name: str) -> RecoveryPolicy:
 class FaultInjector:
     """Schedules a :class:`FaultPlan`'s events on a target's loop.
 
-    Targets: a :class:`FaultTolerantRuntime` (full fault surface), a
-    standalone attached :class:`ContinuousBatchingScheduler` (crash /
-    transient / slowdown / cancel on its one pool), or a
-    :class:`DisaggregatedRuntime` (migration failures and slowdowns).
-    ``arm`` validates every event against the target BEFORE scheduling
+    Targets: a :class:`FaultTolerantRuntime` (full fault surface) or a
+    :class:`DisaggregatedRuntime` (migration failures, KV corruption and
+    slowdowns).  A bare :class:`ContinuousBatchingScheduler` is not a
+    target: crash recovery and deadlines belong to the router.  ``arm``
+    validates every event against the target BEFORE scheduling
     anything, so a bad plan fails loudly instead of half-injecting.
     """
 
@@ -471,8 +471,6 @@ class FaultInjector:
             return self._arm_router(target)
         if isinstance(target, DisaggregatedRuntime):
             return self._arm_disaggregated(target)
-        if isinstance(target, ContinuousBatchingScheduler):
-            return self._arm_scheduler(target)
         raise TypeError(
             f"cannot inject faults into {type(target).__name__}"
         )
@@ -495,29 +493,6 @@ class FaultInjector:
             else:
                 sched = rt._by_pool[ev.target]
                 self._schedule_pool_fault(rt.loop, ev, sched)
-        return len(self.plan.events)
-
-    def _arm_scheduler(self, sched: ContinuousBatchingScheduler) -> int:
-        if sched._loop is None:
-            raise ValueError(
-                "attach() the scheduler to a loop before arming faults"
-            )
-        for ev in self.plan.events:
-            if ev.kind == FaultKind.MIGRATION_FAIL:
-                raise ValueError(
-                    f"plan {self.plan.name!r}: migration faults target a "
-                    "DisaggregatedRuntime, not a scheduler"
-                )
-            if ev.kind != FaultKind.CANCEL and ev.target != sched.pool.name:
-                raise ValueError(
-                    f"plan {self.plan.name!r}: unknown pool {ev.target!r}; "
-                    f"the scheduler serves {sched.pool.name!r}"
-                )
-        for ev in self.plan.events:
-            if ev.kind == FaultKind.CANCEL:
-                self._schedule_cancel(sched._loop, ev, sched.cancel_request)
-            else:
-                self._schedule_pool_fault(sched._loop, ev, sched)
         return len(self.plan.events)
 
     def _arm_disaggregated(self, rt: DisaggregatedRuntime) -> int:
@@ -651,7 +626,6 @@ class FaultTolerantRuntime:
         prefill_mode: str = "chunked",
         chunk_tokens: int = 128,
         preemption: bool = True,
-        snapshot_every: int = 0,
         fault_plan: Optional[FaultPlan] = None,
         loop: Optional[EventLoop] = None,
         integrity=None,
@@ -681,7 +655,6 @@ class FaultTolerantRuntime:
         self._prefill_mode = prefill_mode
         self._chunk_tokens = chunk_tokens
         self._preemption = preemption
-        self._snapshot_every = snapshot_every
         #: Pools excluded from routing: drains take no NEW work but keep
         #: finishing resident work; retired pools are decommissioned.
         self._draining: set = set()
@@ -721,7 +694,6 @@ class FaultTolerantRuntime:
             prefill_mode=self._prefill_mode,
             chunk_tokens=self._chunk_tokens,
             preemption=self._preemption,
-            snapshot_every=self._snapshot_every,
             recovery=self.recovery,
         ).attach(self.loop, self.trace, self.stats)
         sched.router = self

@@ -183,13 +183,15 @@ class ContinuousBatchingScheduler:
         self.chunk_tokens = chunk_tokens
         self.preemption = preemption
         self.snapshot_every = snapshot_every
-        #: Optional :class:`~repro.runtime.faults.RecoveryPolicy`.  When
-        #: None every fault path is dead code and the scheduler behaves
-        #: bit-identically to the pre-fault runtime.
+        #: Optional :class:`~repro.runtime.faults.RecoveryPolicy`; the
+        #: scheduler reads only its ``shed_queue_depth`` (admission-time
+        #: load shedding).  None = never shed.
         self.recovery = recovery
         #: Set by :class:`~repro.runtime.faults.FaultTolerantRuntime`
-        #: when this scheduler is one replica behind a router; the
-        #: router then owns deadlines and crash rerouting.
+        #: when this scheduler is one replica behind a router.  The
+        #: router owns deadlines and crash rerouting; a scheduler
+        #: without one never crashes (the fault injector only targets
+        #: routers and the disaggregated runtime).
         self.router = None
         #: Optional :class:`~repro.runtime.request.TokenStream`: every
         #: decode token is pushed as a :class:`TokenEvent` and flushed
@@ -227,7 +229,6 @@ class ContinuousBatchingScheduler:
         self._pending_transients = 0
         self._iter_handle: Optional[int] = None
         self._iter_cost = 0.0
-        self._deadlines: dict = {}  # request_id -> cancellable handle
         self._loop: Optional[EventLoop] = None
         self.trace = RuntimeTrace()
         self.stats = RuntimeStats(
@@ -299,17 +300,9 @@ class ContinuousBatchingScheduler:
         now = self._loop.now
         if not self.pool.alive:
             # A resubmission raced a crash (the naive same-pool retry
-            # discipline does exactly this): count it as another
-            # failure attempt, or fail terminally when standalone.
-            if self.router is not None:
-                self.router.on_pool_failure(req, self)
-            else:
-                self.trace.record(
-                    now, EventKind.FAIL, req.request_id, self.pool.name,
-                    reason="pool down",
-                )
-                self.stats.failed.append(req)
-                self._resolve(req)
+            # discipline does exactly this): the router counts it as
+            # another failure attempt.
+            self.router.on_pool_failure(req, self)
             return
         total_tokens = req.total_tokens
         self.trace.record(
@@ -348,16 +341,6 @@ class ContinuousBatchingScheduler:
             self._resolve(req)
             return
         self._policy.push(req)
-        if (
-            self.recovery is not None
-            and self.recovery.deadline_s is not None
-            and self.router is None
-            and req.request_id not in self._deadlines
-        ):
-            # Standalone mode arms its own deadlines; behind a router
-            # the router owns them (a deadline must survive rerouting
-            # across scheduler instances).
-            self._arm_deadline(req)
         # Defer behind every other event queued at this instant so
         # simultaneous submissions (a burst, a migrated batch) are all
         # visible to the same admission pass — the legacy loop admitted
@@ -731,25 +714,11 @@ class ContinuousBatchingScheduler:
 
     # ---- faults and recovery ---------------------------------------------------------
     #
-    # Everything below is dead code when ``recovery`` is None and no
-    # injector targets this scheduler — the no-fault event schedule is
-    # bit-identical to the pre-fault runtime.
-
-    def _arm_deadline(self, req) -> None:
-        deadline = max(req.arrival_s + self.recovery.deadline_s, self._loop.now)
-        handle = self._loop.schedule_at(
-            deadline, lambda: self._deadline_fired(req)
-        )
-        self._deadlines[req.request_id] = handle
-
-    def _deadline_fired(self, req) -> None:
-        # The handle is cancelled from every terminal path, so firing
-        # means the request is still live here (running or queued).
-        self._deadlines.pop(req.request_id, None)
-        self.evict(
-            req, EventKind.TIMEOUT, self.stats.timed_out,
-            reason=f"deadline {self.recovery.deadline_s}s exceeded",
-        )
+    # The router (FaultTolerantRuntime) drives everything below: its
+    # deadlines evict, its injector crashes pools and raises transient
+    # errors, and a crash hands every victim back to it.  With no faults
+    # armed none of this runs, and the event schedule is bit-identical
+    # to the pre-fault runtime.
 
     def evict(self, req, kind: str, bucket: List, reason: str) -> bool:
         """Terminally remove a live request (running or waiting) with a
@@ -966,9 +935,8 @@ class ContinuousBatchingScheduler:
 
     def fail_pool(self, reason: str = "gpu_crash") -> None:
         """The pool's GPUs crash: all resident KV is lost, the in-flight
-        iteration never completes, and every live request either fails
-        terminally (standalone) or goes back to the router for
-        retry/reroute with recompute-from-prompt."""
+        iteration never completes, and every live request goes back to
+        the router for retry/reroute with recompute-from-prompt."""
         if self.failed:
             return
         now = self._loop.now
@@ -1003,22 +971,11 @@ class ContinuousBatchingScheduler:
                 break
             victims.append(queued)
         for req in victims:
-            if self.router is not None:
-                self.router.on_pool_failure(req, self)
-            else:
-                self.trace.record(
-                    now, EventKind.FAIL, req.request_id, self.pool.name,
-                    reason="pool crashed",
-                )
-                self.stats.failed.append(req)
-                self._resolve(req)
+            self.router.on_pool_failure(req, self)
 
     def _resolve(self, req) -> None:
-        """Terminal bookkeeping shared by every exit path: disarm the
-        deadline and tell the router (if any) the request is done."""
-        handle = self._deadlines.pop(req.request_id, None)
-        if handle is not None:
-            self._loop.cancel(handle)
+        """Terminal bookkeeping shared by every exit path: tell the
+        router (if any) the request is done."""
         if self.router is not None:
             self.router.on_terminal(req)
 

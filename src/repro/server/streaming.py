@@ -9,7 +9,7 @@ runtime refactor built:
    a replica pool — with session affinity, so turns chase their prefix;
 3. the :class:`~repro.server.sessions.SessionManager` turns finished
    turns into shared KV prefixes and admissions into COW forks;
-4. every decoded token flows through one
+4. every decoded token flows through one optional
    :class:`~repro.runtime.request.TokenStream`, flushed end-of-instant
    via ``loop.defer`` so the stream is a deterministic function of the
    workload.
@@ -18,7 +18,9 @@ Turn chaining is event-driven: when a turn reaches ANY terminal bucket
 the router's ``terminal_listener`` lands here; a completed turn
 schedules the session's next turn after its pinned think time, anything
 else (shed, failed, timed out, cancelled, refused) aborts the session
-and frees its prefix immediately.
+and frees its prefix immediately.  The autoscaling
+:class:`~repro.fleet.simulator.FleetSimulator` is this same server with
+an elastic replica set, an admit-everything gate and no token stream.
 
 Everything — the workload, the gate, routing, token timestamps — is
 deterministic, so :func:`server_report` serialises byte-identically
@@ -75,8 +77,6 @@ class ServerConfig:
     seed: int = 5
     max_batch: int = 16
     kv_cap_tokens: Optional[int] = 20000
-    policy: str = "fcfs"
-    chunk_tokens: int = 128
     server_policy: str = "standard"
     recovery: str = "reroute"
     #: None = fault-free; a builtin plan name injects faults mid-run.
@@ -111,45 +111,32 @@ class ServerConfig:
 
 
 class StreamingServer:
-    """Admission gate + replica router + session prefix cache + one
-    token stream, driving whole conversations to completion."""
+    """Admission gate + replica router + session prefix cache + an
+    optional token stream, driving whole conversations to completion.
+
+    Every replica runs the chunked-prefill, preemptive FCFS scheduler
+    (the router's defaults).  ``stream=None`` runs without a token
+    stream: no token events and no end-of-instant flushes."""
 
     def __init__(
         self,
         pools: Sequence,
         recovery,
-        server_policy: Optional[ServerPolicy] = None,
+        server_policy: ServerPolicy,
         reuse_prefix: bool = True,
-        policy: str = "fcfs",
-        prefill_mode: str = "chunked",
-        chunk_tokens: int = 128,
-        preemption: bool = True,
-        snapshot_every: int = 0,
         fault_plan: Optional[FaultPlan] = None,
         loop=None,
-        subscriber=None,
+        stream: Optional[TokenStream] = None,
     ) -> None:
         self.runtime = FaultTolerantRuntime(
-            pools,
-            recovery,
-            policy=policy,
-            prefill_mode=prefill_mode,
-            chunk_tokens=chunk_tokens,
-            preemption=preemption,
-            snapshot_every=snapshot_every,
-            fault_plan=fault_plan,
-            loop=loop,
+            pools, recovery, fault_plan=fault_plan, loop=loop
         )
         self.loop = self.runtime.loop
-        self.stream = TokenStream(subscriber=subscriber)
+        self.stream = stream
         for sched in self.runtime.schedulers:
-            sched.stream = self.stream
+            sched.stream = stream
         self.sessions = SessionManager(self.runtime, enabled=reuse_prefix)
-        self.gate = AdmissionGate(
-            server_policy
-            if server_policy is not None
-            else SERVER_POLICIES["standard"]
-        )
+        self.gate = AdmissionGate(server_policy)
         self.runtime.terminal_listener = self._on_terminal
         self._specs: Dict[int, SessionSpec] = {}
         self._turn_of: Dict[int, Tuple[int, int]] = {}
@@ -227,11 +214,7 @@ class StreamingServer:
 
     # ---- entry point -----------------------------------------------------------------
 
-    def run(self, specs: Sequence[SessionSpec]) -> RuntimeStats:
-        if not specs:
-            raise ValueError("empty session workload")
-        if len({s.session_id for s in specs}) != len(specs):
-            raise ValueError("session ids must be unique")
+    def _schedule_sessions(self, specs: Sequence[SessionSpec]) -> None:
         for spec in sorted(specs, key=lambda s: (s.start_s, s.session_id)):
             self._specs[spec.session_id] = spec
             self.loop.schedule_at(
@@ -240,6 +223,13 @@ class StreamingServer:
                     spec.session_id
                 ),
             )
+
+    def run(self, specs: Sequence[SessionSpec]) -> RuntimeStats:
+        if not specs:
+            raise ValueError("empty session workload")
+        if len({s.session_id for s in specs}) != len(specs):
+            raise ValueError("session ids must be unique")
+        self._schedule_sessions(specs)
         self.loop.run()
         # Backstop for sessions interrupted mid-conversation (parked
         # forever, aborted by faults): free their prefixes and audit.
@@ -253,16 +243,12 @@ class StreamingServer:
 # ---------------------------------------------------------------------------
 
 
-def build_server(cfg: ServerConfig, loop=None, subscriber=None) -> StreamingServer:
+def build_server(cfg: ServerConfig, loop=None) -> StreamingServer:
     serving_cfg = ServingConfig(
         model=cfg.model,
         framework=cfg.framework,
         gpu=cfg.gpu,
         max_batch=cfg.max_batch,
-        policy=cfg.policy,
-        chunked_prefill=True,
-        chunk_tokens=cfg.chunk_tokens,
-        preemption=True,
         kv_cap_tokens=cfg.kv_cap_tokens,
     )
     sim = ServingSimulator(serving_cfg)
@@ -277,13 +263,9 @@ def build_server(cfg: ServerConfig, loop=None, subscriber=None) -> StreamingServ
         get_recovery_policy(cfg.recovery),
         server_policy=SERVER_POLICIES[cfg.server_policy],
         reuse_prefix=cfg.reuse_prefix,
-        policy=cfg.policy,
-        prefill_mode="chunked",
-        chunk_tokens=cfg.chunk_tokens,
-        preemption=True,
         fault_plan=plan,
         loop=loop,
-        subscriber=subscriber,
+        stream=TokenStream(),
     )
 
 

@@ -8,7 +8,8 @@ from repro.analysis import (
     lint_fault_outcome,
     lint_recovery_policy,
 )
-from repro.analysis.fault_lint import MAX_SANE_RETRIES, _expect_findings
+from repro.analysis.fault_lint import MAX_SANE_RETRIES
+from repro.analysis.findings import reconcile_expected
 from repro.llm.serving import Request
 from repro.runtime import (
     BROKEN_RECOVERY_POLICIES,
@@ -124,7 +125,7 @@ class TestBuiltinSweep:
         # A policy documented as tripping R004 that does not actually
         # trip it means the linter regressed — that must be an ERROR.
         clean = RECOVERY_POLICIES["retry"]
-        findings = _expect_findings(
+        findings = reconcile_expected(
             lint_recovery_policy(clean), ("R004",), subject="recovery:retry"
         )
         assert len(findings) == 1

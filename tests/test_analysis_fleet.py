@@ -9,8 +9,8 @@ from repro.analysis import (
     lint_fleet_outcome,
     lint_fleet_spec,
 )
-from repro.analysis.findings import FAMILIES, rule_table
-from repro.analysis.fleet_lint import MAX_SANE_REPLICAS, _expect_findings
+from repro.analysis.findings import FAMILIES, reconcile_expected, rule_table
+from repro.analysis.fleet_lint import MAX_SANE_REPLICAS
 from repro.fleet import (
     AUTOSCALER_POLICIES,
     BROKEN_AUTOSCALER_POLICIES,
@@ -166,7 +166,7 @@ class TestBuiltinSweep:
         assert all(f.severity == Severity.INFO for f in demoted)
 
     def test_missing_expected_finding_is_an_error(self):
-        findings = _expect_findings([], ["A001"], subject="autoscaler:x")
+        findings = reconcile_expected([], ["A001"], subject="autoscaler:x")
         assert len(findings) == 1
         assert findings[0].severity == Severity.ERROR
         assert "regressed" in findings[0].message
@@ -175,7 +175,7 @@ class TestBuiltinSweep:
         # reconcile over a clean policy with a bogus manifest: the
         # missing expected finding surfaces as a checker regression.
         clean = lint_autoscaler_policy(static_policy(2))
-        findings = _expect_findings(
+        findings = reconcile_expected(
             clean, ["A002"], subject="autoscaler:static-2"
         )
         assert [f.severity for f in findings] == [Severity.ERROR]

@@ -140,6 +140,14 @@ class TestInjectorValidation:
         with pytest.raises(TypeError, match="cannot inject"):
             FaultInjector(CRASH).arm(object())
 
+    def test_bare_scheduler_rejected(self):
+        # Deadlines and crash recovery belong to the router, so a
+        # scheduler outside one is not an injection target.
+        sim = ServingSimulator(ServingConfig(model="opt-13b", framework="spinfer"))
+        sched = sim.build_scheduler()
+        with pytest.raises(TypeError, match="ContinuousBatchingScheduler"):
+            FaultInjector(CRASH).arm(sched)
+
 
 class TestGPUCrash:
     def test_fail_fast_loses_resident_requests(self):

@@ -25,7 +25,9 @@ from repro.fleet import (
     run_fleet_policy,
     static_policy,
 )
-from repro.fleet.simulator import ReplicaInfo
+from repro.fleet.simulator import FleetSimulator, ReplicaInfo
+from repro.runtime import get_recovery_policy
+from repro.server import StreamingServer
 
 
 class TestTrafficProfile:
@@ -340,6 +342,28 @@ class TestFleetSimulator:
         assert len(terminal_ids) == len(set(terminal_ids))
         assert len(terminal_ids) == out.turns_submitted
         assert out.prefix_leaked_blocks == 0
+
+
+class TestFleetOnServer:
+    """The fleet is the streaming server with an elastic replica set."""
+
+    def test_fleet_is_a_streaming_server(self):
+        assert issubclass(FleetSimulator, StreamingServer)
+
+    def test_quick_run_admits_every_turn_and_streams_nothing(self):
+        profile = QUICK.traffic()
+        sim = FleetSimulator(
+            QUICK.fleet_spec(),
+            AUTOSCALER_POLICIES["target-util"],
+            get_recovery_policy(QUICK.recovery),
+            horizon_s=profile.horizon_s,
+        )
+        out = sim.run(generate_sessions(profile))
+        assert out.turns_submitted == len(sim.requests) > 0
+        assert sim.gate.parked_total == 0
+        assert sim.gate.refused == []
+        assert sim.stream is None
+        assert all(s.stream is None for s in sim.runtime.schedulers)
 
 
 class TestFleetPlanner:
