@@ -46,6 +46,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..runtime.core import EventLoop
 from ..runtime.schedule_log import ScheduleLog, ScheduleRecord, ScheduleRecorder
 from ..runtime.trace import RuntimeTrace
+from .fault_lint import TERMINAL_BUCKETS
 from .findings import (
     Finding,
     Report,
@@ -257,9 +258,7 @@ def _stats_digest(stats) -> Dict:
     digest: Dict = {
         "makespan_s": round(float(getattr(stats, "makespan_s", 0.0)), 9)
     }
-    for bucket in (
-        "completed", "rejected", "failed", "shed", "timed_out", "cancelled"
-    ):
+    for bucket in TERMINAL_BUCKETS:
         digest[bucket] = sorted(
             r.request_id for r in getattr(stats, bucket, ())
         )

@@ -1,9 +1,9 @@
 """Experiment harness regenerating every table and figure of the paper.
 
 One function per experiment; each returns an :class:`~repro.bench.harness.
-Experiment` whose rendered text is written under ``results/`` by the
-benchmark suite.  See DESIGN.md for the experiment index and
-EXPERIMENTS.md for paper-vs-measured numbers.
+Experiment`.  ``repro report`` renders every registered experiment into
+``results/REPORT.md`` (:mod:`repro.bench.report`).  See DESIGN.md for the
+experiment index and EXPERIMENTS.md for paper-vs-measured numbers.
 """
 
 from .ablation_bench import (
@@ -23,7 +23,7 @@ from .e2e_bench import (
 )
 from .fleet_bench import ext_fleet
 from .format_bench import fig03_compression, fig04_roofline
-from .harness import Experiment, format_table, geomean, results_dir
+from .harness import Experiment, format_table, geomean
 from .integrity_bench import ext_integrity
 from .kernel_bench import (
     fig01_motivation,
@@ -76,6 +76,5 @@ __all__ = [
     "write_report",
     "export_csv",
     "kernel_sweep",
-    "results_dir",
     "tab01_ablation",
 ]

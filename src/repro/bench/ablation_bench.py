@@ -28,7 +28,7 @@ from ..core.tiles import TileConfig
 from ..gpu.calibration import get_calibration
 from ..gpu.occupancy import occupancy
 from ..gpu.simulator import LaunchShape, Traffic, Work, simulate_kernel
-from ..gpu.specs import RTX4090, GPUSpec
+from ..gpu.specs import RTX4090
 from ..kernels import SpMMProblem, make_kernel
 from .harness import Experiment
 
@@ -40,9 +40,10 @@ __all__ = [
 ]
 
 _PROBLEM = SpMMProblem(m=28672, k=8192, n=16, sparsity=0.6)
+_GPU = RTX4090
 
 
-def abl_grouptile_size(gpu: GPUSpec = RTX4090) -> Experiment:
+def abl_grouptile_size() -> Experiment:
     """Sweep the GroupTile edge; the paper's 64 should sit at the knee."""
     p = _PROBLEM
     cal = get_calibration("spinfer")
@@ -64,8 +65,8 @@ def abl_grouptile_size(gpu: GPUSpec = RTX4090) -> Experiment:
         shared = int(
             2 * (gt * gt // 8 + gt * gt * 2 * 0.5 + gt * 32 * 2)
         )
-        shared = min(shared, gpu.max_shared_per_block_kb * 1024)
-        occ = occupancy(gpu, cal.threads_per_block, cal.registers_per_thread, shared)
+        shared = min(shared, _GPU.max_shared_per_block_kb * 1024)
+        occ = occupancy(_GPU, cal.threads_per_block, cal.registers_per_thread, shared)
         if occ.blocks_per_sm == 0:
             rows.append([gt, weight_bytes / 1e6, 0.0, "does not fit"])
             continue
@@ -86,11 +87,11 @@ def abl_grouptile_size(gpu: GPUSpec = RTX4090) -> Experiment:
             cal,
             mem_efficiency=mem_eff,
             shared_bytes_per_block=shared,
-            tc_efficiency=cal.tc_efficiency_at(p.n, gpu),
+            tc_efficiency=cal.tc_efficiency_at(p.n, _GPU),
             tc_n_half=0.0,
         )
         prof = simulate_kernel(
-            gpu, cal_gt, LaunchShape(grid_blocks=grid), traffic,
+            _GPU, cal_gt, LaunchShape(grid_blocks=grid), traffic,
             Work(tc_flops=p.dense_flops, decode_values=float(p.nnz)),
         )
         times[gt] = prof.time_s
@@ -114,13 +115,13 @@ def abl_grouptile_size(gpu: GPUSpec = RTX4090) -> Experiment:
     )
 
 
-def abl_split_k(gpu: GPUSpec = RTX4090) -> Experiment:
+def abl_split_k() -> Experiment:
     """Sweep the split-K factor on a small-M matrix (grid starved at 1)."""
     p = SpMMProblem(m=4096, k=4096, n=16, sparsity=0.6)
     cal = get_calibration("spinfer")
     from dataclasses import replace
 
-    cal_eff = replace(cal, tc_efficiency=cal.tc_efficiency_at(p.n, gpu), tc_n_half=0.0)
+    cal_eff = replace(cal, tc_efficiency=cal.tc_efficiency_at(p.n, _GPU), tc_n_half=0.0)
     weight_bytes = float(tca_bme_storage_bytes(p.m, p.k, p.nnz))
     rows: List[List[object]] = []
     times = {}
@@ -134,7 +135,7 @@ def abl_split_k(gpu: GPUSpec = RTX4090) -> Experiment:
             workspace_bytes=workspace,
         )
         prof = simulate_kernel(
-            gpu, cal_eff, LaunchShape(grid_blocks=grid), traffic,
+            _GPU, cal_eff, LaunchShape(grid_blocks=grid), traffic,
             Work(tc_flops=p.dense_flops, decode_values=float(p.nnz)),
         )
         times[split] = prof.time_s
@@ -155,7 +156,7 @@ def abl_split_k(gpu: GPUSpec = RTX4090) -> Experiment:
     )
 
 
-def abl_mma_shape(gpu: GPUSpec = RTX4090) -> Experiment:
+def abl_mma_shape() -> Experiment:
     """m16n8k16 vs m16n8k8 (the paper's Section 4.2.1 microbenchmark).
 
     Equal FLOPs need twice the instructions with the half-K mma, so the
@@ -169,11 +170,11 @@ def abl_mma_shape(gpu: GPUSpec = RTX4090) -> Experiment:
     times = {}
     for shape, n_half_scale in (("m16n8k16", 1.0), ("m16n8k8", 2.0)):
         eff = replace(cal, tc_n_half=cal.tc_n_half * n_half_scale)
-        prof = make_kernel("spinfer").profile(p, gpu)
+        prof = make_kernel("spinfer").profile(p, _GPU)
         # Rebuild with the scaled saturation: reuse the kernel's traffic
         # but swap the compute ceiling.
         cal_eff = replace(
-            eff, tc_efficiency=eff.tc_efficiency_at(p.n, gpu), tc_n_half=0.0
+            eff, tc_efficiency=eff.tc_efficiency_at(p.n, _GPU), tc_n_half=0.0
         )
         traffic = Traffic(
             weight_bytes=float(tca_bme_storage_bytes(p.m, p.k, p.nnz)),
@@ -182,7 +183,7 @@ def abl_mma_shape(gpu: GPUSpec = RTX4090) -> Experiment:
         )
         grid = math.ceil(p.m / 64)
         prof = simulate_kernel(
-            gpu, cal_eff, LaunchShape(grid_blocks=grid), traffic,
+            _GPU, cal_eff, LaunchShape(grid_blocks=grid), traffic,
             Work(tc_flops=p.dense_flops, decode_values=float(p.nnz)),
         )
         times[shape] = prof.time_s

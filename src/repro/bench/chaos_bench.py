@@ -11,7 +11,7 @@ metrics the chaos harness computes.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List
 
 from ..llm.chaos import ChaosConfig, compare_recovery_policies
 from .harness import Experiment
@@ -19,21 +19,12 @@ from .harness import Experiment
 __all__ = ["ext_chaos"]
 
 
-def ext_chaos(
-    plans: Optional[Sequence[str]] = None,
-    quick: bool = False,
-) -> Experiment:
+def ext_chaos() -> Experiment:
     """Recovery-policy shoot-out across the builtin fault plans."""
-    plan_names = list(plans) if plans else [
-        "gpu-crash", "stragglers", "chaos-mix", "flaky-link",
-    ]
     rows: List[List[object]] = []
     metrics = {}
-    for plan in plan_names:
-        cfg = ChaosConfig(plan=plan)
-        if quick:
-            cfg = cfg.quick()
-        results = compare_recovery_policies(cfg)
+    for plan in ("gpu-crash", "stragglers", "chaos-mix", "flaky-link"):
+        results = compare_recovery_policies(ChaosConfig(plan=plan))
         for name, stats in sorted(results.items()):
             rows.append([
                 plan,

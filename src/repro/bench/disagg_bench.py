@@ -10,15 +10,12 @@ from .harness import Experiment
 __all__ = ["ext_disaggregation"]
 
 
-def ext_disaggregation(
-    model: str = "opt-13b",
-    prompt_len: int = 2048,
-    output_len: int = 128,
-) -> Experiment:
+def ext_disaggregation() -> Experiment:
     """Homogeneous vs hybrid pools at equal GPU budget (1 prefill + 1
     decode GPU), long-prompt workload."""
+    model, prompt_len = "opt-13b", 2048
     results = compare_deployments(
-        model=model, prompt_len=prompt_len, output_len=output_len
+        model=model, prompt_len=prompt_len, output_len=128
     )
     rows: List[List[object]] = []
     for label in DEPLOYMENT_COMPARISONS:

@@ -78,7 +78,6 @@ def _e2e_sweep(
     exp_id: str,
     gpu: str,
     cases: Sequence[Tuple[str, int, int]],  # (model, num_gpus, batch)
-    output_lens: Sequence[int] = (64, 128, 256, 512, 1024),
 ) -> Experiment:
     rows: List[List[object]] = []
     speedups: Dict[str, List[float]] = {
@@ -86,7 +85,7 @@ def _e2e_sweep(
     }
     spinfer_tps_max = 0.0
     for model, num_gpus, batch in cases:
-        for out_len in output_lens:
+        for out_len in (64, 128, 256, 512, 1024):
             per_fw = {}
             for fw, sparsity in E2E_FRAMEWORKS:
                 cfg = InferenceConfig(
@@ -142,9 +141,7 @@ def _e2e_sweep(
     )
 
 
-def fig13_e2e_rtx4090(
-    output_lens: Sequence[int] = (64, 128, 256, 512, 1024),
-) -> Experiment:
+def fig13_e2e_rtx4090() -> Experiment:
     """Fig. 13: OPT-13B / OPT-30B on RTX4090s (1, 2 and 4 GPUs)."""
     cases = [
         ("opt-13b", 1, 8),
@@ -156,12 +153,10 @@ def fig13_e2e_rtx4090(
         ("opt-30b", 4, 16),
         ("opt-30b", 4, 32),
     ]
-    return _e2e_sweep("fig13_rtx4090", "RTX4090", cases, output_lens)
+    return _e2e_sweep("fig13_rtx4090", "RTX4090", cases)
 
 
-def fig14_e2e_a6000(
-    output_lens: Sequence[int] = (64, 128, 256, 512, 1024),
-) -> Experiment:
+def fig14_e2e_a6000() -> Experiment:
     """Fig. 14: OPT-30B / OPT-66B on A6000s (1, 2 and 4 GPUs)."""
     cases = [
         ("opt-30b", 1, 8),
@@ -173,7 +168,7 @@ def fig14_e2e_a6000(
         ("opt-66b", 4, 16),
         ("opt-66b", 4, 32),
     ]
-    return _e2e_sweep("fig14_a6000", "A6000", cases, output_lens)
+    return _e2e_sweep("fig14_a6000", "A6000", cases)
 
 
 def fig15_time_breakdown() -> Experiment:

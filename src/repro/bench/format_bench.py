@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 from ..formats.analytic import compression_ratio
 from ..gpu.roofline import ci_gemm, ci_optimal, ci_spmm, roofline_point
-from ..gpu.specs import RTX4090, GPUSpec
+from ..gpu.specs import RTX4090
 from .harness import Experiment
 
 __all__ = ["fig03_compression", "fig04_roofline"]
@@ -15,12 +15,10 @@ __all__ = ["fig03_compression", "fig04_roofline"]
 FIG03_FORMATS = ("csr", "tiled-csl", "sparta", "tca-bme", "optimal")
 
 
-def fig03_compression(
-    m: int = 4096,
-    k: int = 4096,
-    sparsities: Sequence[float] = tuple(i / 20 for i in range(2, 19)),
-) -> Experiment:
+def fig03_compression() -> Experiment:
     """Fig. 3: compression ratio vs sparsity (M = K = 4096)."""
+    m = k = 4096
+    sparsities = tuple(i / 20 for i in range(2, 19))
     rows: List[List[object]] = []
     cr_at = {}
     for fmt in FIG03_FORMATS:
@@ -50,13 +48,11 @@ def fig03_compression(
     )
 
 
-def fig04_roofline(
-    gpu: GPUSpec = RTX4090,
-    m: int = 28672,
-    sparsities: Sequence[float] = (0.4, 0.5, 0.6, 0.7),
-    ns: Sequence[int] = (8, 16, 32),
-) -> Experiment:
+def fig04_roofline() -> Experiment:
     """Fig. 4: roofline placement of GEMM/SpMM at varying sparsity and N."""
+    gpu, m = RTX4090, 28672
+    sparsities = (0.4, 0.5, 0.6, 0.7)
+    ns = (8, 16, 32)
     rows: List[List[object]] = []
     all_memory_bound = True
     for n in ns:

@@ -1,20 +1,19 @@
-"""Experiment harness: tables, series and result persistence.
+"""Experiment harness: tables, series and headline metrics.
 
 Every reproduced table/figure is computed by a function in this package
 returning an :class:`Experiment` — a set of labelled rows (tables) or
-series (figures) plus headline metrics.  The benchmark suite renders each
-one as text and stores it under ``results/`` so paper-vs-measured
-comparisons (EXPERIMENTS.md) are regenerable from a single run.
+series (figures) plus headline metrics.  ``repro report`` renders every
+registered experiment into ``results/REPORT.md``, the one record that
+EXPERIMENTS.md quotes and the tests pin.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Sequence, Union
 
-__all__ = ["Experiment", "format_table", "results_dir", "geomean"]
+__all__ = ["Experiment", "format_table", "geomean"]
 
 Number = Union[int, float]
 
@@ -80,15 +79,6 @@ class Experiment:
             parts.append(self.notes)
         return "\n".join(parts) + "\n"
 
-    def save(self, directory: Optional[str] = None) -> str:
-        """Write the rendered experiment to ``results/<exp_id>.txt``."""
-        directory = directory or results_dir()
-        os.makedirs(directory, exist_ok=True)
-        path = os.path.join(directory, f"{self.exp_id}.txt")
-        with open(path, "w") as fh:
-            fh.write(self.render())
-        return path
-
     def metric(self, name: str) -> float:
         try:
             return self.metrics[name]
@@ -97,16 +87,3 @@ class Experiment:
                 f"experiment {self.exp_id} has no metric {name!r}; "
                 f"available: {sorted(self.metrics)}"
             ) from None
-
-
-def results_dir() -> str:
-    """Directory experiment outputs are written to.
-
-    Defaults to ``<repo>/results``; override with ``REPRO_RESULTS_DIR``.
-    """
-    env = os.environ.get("REPRO_RESULTS_DIR")
-    if env:
-        return env
-    here = os.path.dirname(os.path.abspath(__file__))
-    repo = os.path.dirname(os.path.dirname(os.path.dirname(here)))
-    return os.path.join(repo, "results")

@@ -12,7 +12,7 @@ catch and what they cost.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List
 
 from ..integrity.harness import IntegrityConfig, integrity_report
 from .harness import Experiment
@@ -20,16 +20,9 @@ from .harness import Experiment
 __all__ = ["ext_integrity"]
 
 
-def ext_integrity(
-    plans: Optional[Sequence[str]] = None,
-    quick: bool = False,
-) -> Experiment:
+def ext_integrity() -> Experiment:
     """Detection-rate/goodput shoot-out across the SDC fault plans."""
     cfg = IntegrityConfig()
-    if plans:
-        cfg = IntegrityConfig(plans=tuple(plans))
-    if quick:
-        cfg = cfg.quick()
     report = integrity_report(cfg)
     rows: List[List[object]] = []
     for arm in ("verify-off", "verify-on", "quarantine"):

@@ -7,7 +7,7 @@ and the exact storage equations of every format.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..gpu.specs import RTX4090, GPUSpec
 from ..kernels import SpMMProblem, make_kernel
@@ -67,29 +67,22 @@ def fig01_motivation(gpu: GPUSpec = RTX4090) -> Experiment:
     )
 
 
-def fig10_kernel_sweep(
-    gpu: GPUSpec = RTX4090,
-    sparsities: Sequence[float] = FIG10_SPARSITIES,
-    ns: Sequence[int] = FIG10_NS,
-    max_shapes: Optional[int] = None,
-) -> Experiment:
+def fig10_kernel_sweep(gpu: GPUSpec = RTX4090) -> Experiment:
     """Fig. 10: speedup over cuBLAS across the LLM weight-matrix zoo."""
     zoo = kernel_matrix_zoo()
-    if max_shapes is not None:
-        zoo = zoo[:max_shapes]
     kernels = {name: make_kernel(name) for name in FIG10_KERNELS}
     cublas = make_kernel("cublas_tc")
 
     per_kernel: Dict[str, List[float]] = {name: [] for name in FIG10_KERNELS}
     per_kernel_by_s: Dict[str, Dict[float, List[float]]] = {
-        name: {s: [] for s in sparsities} for name in FIG10_KERNELS
+        name: {s: [] for s in FIG10_SPARSITIES} for name in FIG10_KERNELS
     }
-    spinfer_wins = {s: 0 for s in sparsities}
-    cases = {s: 0 for s in sparsities}
+    spinfer_wins = {s: 0 for s in FIG10_SPARSITIES}
+    cases = {s: 0 for s in FIG10_SPARSITIES}
 
-    for s in sparsities:
+    for s in FIG10_SPARSITIES:
         for _label, m, k in zoo:
-            for n in ns:
+            for n in FIG10_NS:
                 prob = SpMMProblem(m=m, k=k, n=n, sparsity=s)
                 t_dense = cublas.profile(prob, gpu).time_s
                 for name, kernel in kernels.items():
@@ -102,7 +95,7 @@ def fig10_kernel_sweep(
 
     rows = []
     for name in FIG10_KERNELS:
-        for s in sparsities:
+        for s in FIG10_SPARSITIES:
             rows.append([name, s, geomean(per_kernel_by_s[name][s])])
     metrics = {
         f"avg_speedup_{name}": geomean(vals) for name, vals in per_kernel.items()
@@ -112,10 +105,8 @@ def fig10_kernel_sweep(
             metrics[f"spinfer_over_{name}"] = (
                 metrics["avg_speedup_spinfer"] / metrics[f"avg_speedup_{name}"]
             )
-    for s in sparsities:
-        metrics[f"spinfer_win_rate_{int(s * 100)}"] = (
-            spinfer_wins[s] / cases[s] if cases[s] else 0.0
-        )
+    for s in FIG10_SPARSITIES:
+        metrics[f"spinfer_win_rate_{int(s * 100)}"] = spinfer_wins[s] / cases[s]
     return Experiment(
         exp_id=f"fig10_{gpu.name.lower()}",
         title=f"Kernel speedups vs cuBLAS over the model zoo on {gpu.name}",

@@ -10,13 +10,9 @@ from .harness import Experiment
 __all__ = ["ext_memory_walls"]
 
 
-def ext_memory_walls(
-    model: str = "opt-13b",
-    gpu: str = "RTX4090",
-    num_gpus: int = 1,
-    batch_size: int = 8,
-) -> Experiment:
+def ext_memory_walls() -> Experiment:
     """Memory growth with output length and each framework's OOM wall."""
+    model, gpu, num_gpus, batch_size = "opt-13b", "RTX4090", 1, 8
     frameworks = (
         ("spinfer", 0.6),
         ("flash-llm", 0.6),

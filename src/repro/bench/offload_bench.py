@@ -11,8 +11,9 @@ from .harness import Experiment
 __all__ = ["ext_offloading"]
 
 
-def ext_offloading(model: str = "opt-66b", gpu: str = "RTX4090") -> Experiment:
+def ext_offloading() -> Experiment:
     """Offloaded decode of a model too big for one GPU, dense vs encoded."""
+    model, gpu = "opt-66b", "RTX4090"
     rows: List[List[object]] = []
     step_times = {}
     for fmt, framework, sparsity in (

@@ -14,7 +14,7 @@ fault plan) is held fixed, so the two arms differ only by the cache.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List
 
 from ..server import ServerConfig, run_server
 from .harness import Experiment
@@ -22,32 +22,22 @@ from .harness import Experiment
 __all__ = ["ext_server"]
 
 
-def _arm(cfg: ServerConfig) -> Tuple[object, object]:
-    return run_server(cfg)
-
-
-def ext_server(
-    scenarios: Optional[Sequence[Tuple[str, ServerConfig]]] = None,
-    quick: bool = False,
-) -> Experiment:
+def ext_server() -> Experiment:
     """Prefix reuse on/off over identical multi-turn workloads."""
-    if scenarios is None:
-        base = ServerConfig()
-        scenarios = [
-            ("steady", base),
-            ("long-history", replace(
-                base, mean_new_tokens=192, turns=4, sessions=6,
-            )),
-            ("gpu-crash", replace(base, fault_plan="gpu-crash")),
-        ]
+    base = ServerConfig()
+    scenarios = [
+        ("steady", base),
+        ("long-history", replace(
+            base, mean_new_tokens=192, turns=4, sessions=6,
+        )),
+        ("gpu-crash", replace(base, fault_plan="gpu-crash")),
+    ]
     rows: List[List[object]] = []
     metrics = {}
     for label, cfg in scenarios:
-        if quick:
-            cfg = cfg.quick()
         per_arm = {}
         for reuse in (True, False):
-            server, stats = _arm(replace(cfg, reuse_prefix=reuse))
+            server, stats = run_server(replace(cfg, reuse_prefix=reuse))
             ttfts = sorted(
                 r.ttft_s for r in stats.completed if r.ttft_s is not None
             )

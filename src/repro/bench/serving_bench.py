@@ -23,15 +23,12 @@ from .harness import Experiment
 __all__ = ["ext_serving", "ext_serving_runtime"]
 
 
-def ext_serving(
-    num_requests: int = 32,
-    arrival_rate: float = 1.5,
-    model: str = "opt-13b",
-) -> Experiment:
+def ext_serving() -> Experiment:
     """Continuous-batching comparison on one RTX4090."""
+    model = "opt-13b"
     workload = poisson_workload(
-        num_requests=num_requests,
-        arrival_rate=arrival_rate,
+        num_requests=32,
+        arrival_rate=1.5,
         prompt_len=64,
         output_len=128,
         seed=0,
@@ -80,13 +77,7 @@ def ext_serving(
     )
 
 
-def ext_serving_runtime(
-    num_requests: int = 48,
-    arrival_rate: float = 6.0,
-    model: str = "opt-13b",
-    framework: str = "spinfer",
-    kv_cap_tokens: int = 4096,
-) -> Experiment:
+def ext_serving_runtime() -> Experiment:
     """Scheduler shoot-out on the event runtime at an equal, tight KV budget.
 
     Serves one bursty mixed-length trace three ways on the same pool:
@@ -101,9 +92,10 @@ def ext_serving_runtime(
     blocking / no-preemption configuration it must reproduce the legacy
     hand-rolled loop's makespan within 1 %.
     """
+    model, framework, kv_cap_tokens = "opt-13b", "spinfer", 4096
     workload = mixed_workload(
-        num_requests,
-        arrival_rate=arrival_rate,
+        48,
+        arrival_rate=6.0,
         output_lens=(64, 256, 768),
         prompt_len=128,
         seed=7,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import os
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from ..gpu.specs import GPUSpec, RTX4090
 from ..kernels import SpMMProblem, make_kernel
@@ -25,7 +25,6 @@ def kernel_sweep(
     ns: Sequence[int] = (8, 16, 32),
     sparsities: Sequence[float] = (0.4, 0.5, 0.6, 0.7),
     gpu: GPUSpec = RTX4090,
-    exp_id: str = "sweep",
 ) -> Experiment:
     """Profile each kernel over the (N, sparsity) grid for one shape."""
     if not kernels:
@@ -51,7 +50,7 @@ def kernel_sweep(
         for name, times in per_kernel.items()
     }
     return Experiment(
-        exp_id=exp_id,
+        exp_id="sweep",
         title=f"Kernel sweep: M={m} K={k} on {gpu.name}",
         headers=["kernel", "sparsity", "N", "time_us", "dram_MB", "bw_util", "tc_util"],
         rows=rows,
@@ -59,12 +58,8 @@ def kernel_sweep(
     )
 
 
-def export_csv(experiment: Experiment, path: Optional[str] = None) -> str:
+def export_csv(experiment: Experiment, path: str) -> str:
     """Write an experiment's rows as CSV; returns the path written."""
-    if path is None:
-        from .harness import results_dir
-
-        path = os.path.join(results_dir(), f"{experiment.exp_id}.csv")
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -2,8 +2,8 @@
 
 Subcommands mirror the library's main entry points::
 
-    repro bench all                 # regenerate every table/figure
-    repro bench fig10 --gpu A6000   # one experiment
+    repro report                    # every table/figure -> results/REPORT.md
+    repro bench fig10 --gpu A6000   # print one experiment
     repro profile --m 28672 --k 8192 --n 16 --sparsity 0.6
     repro encode --m 4096 --k 4096 --sparsity 0.6
     repro simulate --model opt-13b --framework spinfer --gpus 1
@@ -23,8 +23,8 @@ Subcommands mirror the library's main entry points::
     repro lint --list-rules         # combined rule catalogue
     repro models                    # list the model zoo
 
-Everything prints rendered text tables; ``bench`` additionally writes
-``results/<exp_id>.txt``.
+Everything prints rendered text tables; ``report`` writes the one
+committed record, ``results/REPORT.md``.
 """
 
 from __future__ import annotations
@@ -32,11 +32,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
 from . import bench as bench_mod
 from .bench import format_table
-from .gpu.specs import GPUS, get_gpu
+from .gpu.specs import A6000, GPUS, get_gpu
 from .kernels import KERNELS, SpMMProblem, make_kernel
 from .llm import MODELS, InferenceConfig, simulate_inference
 
@@ -50,6 +51,7 @@ EXPERIMENTS: Dict[str, Callable] = {
     "fig04": bench_mod.fig04_roofline,
     "fig09": bench_mod.fig09_pipeline_schedule,
     "fig10": bench_mod.fig10_kernel_sweep,
+    "fig10_a6000": partial(bench_mod.fig10_kernel_sweep, A6000),
     "fig11": bench_mod.fig11_smat_comparison,
     "fig12": bench_mod.fig12_micro_metrics,
     "fig13": bench_mod.fig13_e2e_rtx4090,
@@ -98,9 +100,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         else:
             exp = fn()
         print(exp.render())
-        if not args.no_save:
-            path = exp.save()
-            print(f"[saved {path}]\n")
     return 0
 
 
@@ -822,8 +821,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="experiment id, e.g. fig10, tab01, all; omit "
                          "to run the perf suites instead")
     p_bench.add_argument("--gpu", choices=sorted(GPUS), default=None)
-    p_bench.add_argument("--no-save", action="store_true",
-                         help="do not write results/<id>.txt")
     p_bench.add_argument("--quick", action="store_true",
                          help="perf suite: reduced shapes and repeats (CI mode)")
     p_bench.add_argument("--json", action="store_true",

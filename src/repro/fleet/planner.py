@@ -15,8 +15,8 @@ dynamic autoscalers — and places each run on a cost-vs-goodput plane:
 The frontier is the non-dominated set; ``dominates`` names, for every
 dynamic policy, the static baselines it beats outright (strictly lower
 cost, equal-or-better goodput SLO and availability) — the claim the
-``ext_fleet`` bench and the CI fleet job assert under the chaos-mix
-fault plan.
+tests assert on the ``ext_fleet`` experiment and on the quick replays,
+fault-free and under the chaos-mix fault plan.
 
 Everything is a pure function of (fleet, profile, policy set, fault
 plan, seed): :func:`fleet_report_json` serialises with sorted keys and

@@ -1,4 +1,4 @@
-"""Suite-wide pytest hooks.
+"""Suite-wide pytest hooks and fixtures.
 
 pyproject sets ``timeout = 120``.  The hooks below register that ini key
 and enforce it per test with a SIGALRM timer (``signal.setitimer``, the
@@ -6,6 +6,10 @@ sub-second form of ``signal.alarm``), so a hung event loop fails its
 test instead of stalling the whole run.  pytest-timeout owns the same
 key; where someone has installed it, the hooks stay off so the ceiling
 is not enforced twice.
+
+``experiments`` runs the experiment registry once per session.  The
+``results/REPORT.md`` pin and every paper/ablation/extension band
+assertion read that one run, so they check the numbers the report shows.
 """
 
 import signal
@@ -18,6 +22,14 @@ except ImportError:
     pytest_timeout = None
 
 pytest_plugins = ["pytester"]
+
+
+@pytest.fixture(scope="session")
+def experiments():
+    """Every registered experiment, run once: registry id -> Experiment."""
+    from repro.cli import EXPERIMENTS
+
+    return {exp_id: EXPERIMENTS[exp_id]() for exp_id in sorted(EXPERIMENTS)}
 
 
 if pytest_timeout is None and hasattr(signal, "SIGALRM"):

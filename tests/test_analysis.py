@@ -1,5 +1,7 @@
 """Tests for sparsity-structure analysis and the report generator."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -93,8 +95,20 @@ class TestReport:
         assert "fig03" in text and "tab01" in text
         assert "| tab01 |" in text  # headline row present
 
+    def test_misspelled_anchor_raises(self, monkeypatch):
+        """A headline row cannot silently vanish: an anchor naming a
+        metric its experiment lacks fails, listing the real ones."""
+        from repro.bench import fig03_compression, report
+
+        monkeypatch.setitem(
+            report.PAPER_ANCHORS, "fig03",
+            ("tca_bme_cr_at_5O", 1.78, "TCA-BME compression ratio at 50%"),
+        )
+        with pytest.raises(KeyError, match="tca_bme_cr_at_50"):
+            report.generate_report({"fig03": fig03_compression})
+
     def test_write_report(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+        monkeypatch.chdir(tmp_path)
         from repro.bench import fig03_compression
         from repro.bench.report import write_report
 
@@ -103,6 +117,6 @@ class TestReport:
 
         monkeypatch.setattr(cli, "EXPERIMENTS", {"fig03": fig03_compression})
         path = write_report()
-        assert path.endswith("REPORT.md")
-        with open(path) as fh:
+        assert path == str(Path("results") / "REPORT.md")
+        with open(tmp_path / path) as fh:
             assert "fig03" in fh.read()

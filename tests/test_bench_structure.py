@@ -2,33 +2,18 @@
 
 Every experiment must produce well-formed tables (row width == header
 width), a unique id, and non-empty metrics — the contract the report
-generator and the results files rely on.
+generator relies on.  They read the session's registry run.
 """
 
-import pytest
-
 from repro.cli import EXPERIMENTS
-
-# Cheap experiments checked exhaustively; the heavier sweeps are already
-# exercised (and asserted) by the benchmark suite.
-_FAST = (
-    "fig01", "fig02", "fig03", "fig04", "fig09", "fig11", "fig12",
-    "fig15", "fig16", "tab01", "abl_grouptile", "abl_splitk",
-    "abl_mma_shape", "abl_quant", "ext_disagg", "ext_offload",
-)
-
-
-@pytest.fixture(scope="module")
-def fast_experiments():
-    return {exp_id: EXPERIMENTS[exp_id]() for exp_id in _FAST}
 
 
 def test_registry_ids_unique():
     assert len(EXPERIMENTS) == len(set(EXPERIMENTS))
 
 
-def test_all_fast_experiments_well_formed(fast_experiments):
-    for exp_id, exp in fast_experiments.items():
+def test_all_experiments_well_formed(experiments):
+    for exp_id, exp in experiments.items():
         assert exp.rows, exp_id
         assert exp.metrics, exp_id
         width = len(exp.headers)
@@ -36,21 +21,21 @@ def test_all_fast_experiments_well_formed(fast_experiments):
             assert len(row) == width, (exp_id, row)
 
 
-def test_exp_ids_match_registry_keys(fast_experiments):
-    """Saved filenames must be predictable from the registry key."""
-    for exp_id, exp in fast_experiments.items():
+def test_exp_ids_match_registry_keys(experiments):
+    """An experiment's own id is predictable from its registry key."""
+    for exp_id, exp in experiments.items():
         assert exp.exp_id.startswith(exp_id.split("_")[0]) or exp.exp_id == exp_id
 
 
-def test_render_round_trips(fast_experiments):
-    for exp in fast_experiments.values():
+def test_render_round_trips(experiments):
+    for exp in experiments.values():
         text = exp.render()
         assert exp.title in text
         for key in exp.metrics:
             assert key in text
 
 
-def test_every_experiment_has_notes(fast_experiments):
+def test_every_experiment_has_notes(experiments):
     """Every experiment documents what it shows."""
-    for exp_id, exp in fast_experiments.items():
+    for exp_id, exp in experiments.items():
         assert exp.notes and len(exp.notes) > 30, exp_id

@@ -12,8 +12,9 @@ class TestParser:
 
     def test_all_experiments_registered(self):
         expected = {
-            "fig01", "fig02", "fig03", "fig04", "fig09", "fig10", "fig11",
-            "fig12", "fig13", "fig14", "fig15", "fig16", "tab01",
+            "fig01", "fig02", "fig03", "fig04", "fig09", "fig10",
+            "fig10_a6000", "fig11", "fig12", "fig13", "fig14", "fig15",
+            "fig16", "tab01",
             "abl_grouptile", "abl_splitk", "abl_mma_shape", "abl_quant",
             "ext_serving", "ext_serving_runtime", "ext_disagg",
             "ext_accuracy", "ext_offload", "ext_memory", "ext_chaos",
@@ -24,22 +25,20 @@ class TestParser:
 
 class TestBenchCommand:
     def test_single_experiment(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+        monkeypatch.chdir(tmp_path)
         rc = main(["bench", "fig03"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "Compression ratio" in out
-        assert (tmp_path / "fig03.txt").exists()
+        assert list(tmp_path.iterdir()) == []  # prints, writes nothing
 
-    def test_gpu_override(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
-        rc = main(["bench", "tab01", "--gpu", "A6000", "--no-save"])
+    def test_gpu_override(self, capsys):
+        rc = main(["bench", "fig01", "--gpu", "A6000"])
         assert rc == 0
-        assert "A6000" not in str(tmp_path)  # nothing saved
-        assert "Kernel ablation" in capsys.readouterr().out
+        assert "on A6000" in capsys.readouterr().out
 
     def test_unknown_experiment(self, capsys):
-        rc = main(["bench", "fig99", "--no-save"])
+        rc = main(["bench", "fig99"])
         assert rc == 2
         assert "unknown experiment" in capsys.readouterr().err
 

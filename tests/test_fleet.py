@@ -243,6 +243,8 @@ class TestParetoFrontier:
 
 QUICK = FleetConfig(quick=True)
 CHAOS = FleetConfig(quick=True, fault_plan="chaos-mix")
+#: The arm of ``repro fleet --quick --seed 1 --plan chaos-mix``.
+CHAOS_SEED1 = FleetConfig(quick=True, seed=1, fault_plan="chaos-mix")
 
 
 class TestFleetSimulator:
@@ -384,7 +386,7 @@ class TestFleetPlanner:
         assert len(digests) == len(report["policies"])  # all distinct
 
     def test_autoscaler_dominates_a_static_baseline(self):
-        for cfg in (QUICK, CHAOS):
+        for cfg in (QUICK, CHAOS, CHAOS_SEED1):
             report = fleet_report(cfg)
             beaten = report["dominates"]["target-util"]
             assert beaten, "autoscaler must beat >= 1 static baseline"
@@ -396,9 +398,17 @@ class TestFleetPlanner:
                         >= st_["service"]["slo_attainment"])
 
     def test_frontier_points_exist_in_sweep(self):
-        report = fleet_report(QUICK)
-        assert report["pareto_frontier"]
-        assert set(report["pareto_frontier"]) <= set(report["policies"])
+        for cfg in (QUICK, CHAOS_SEED1):
+            report = fleet_report(cfg)
+            assert report["pareto_frontier"]
+            assert set(report["pareto_frontier"]) <= set(report["policies"])
+
+    @pytest.mark.parametrize(
+        "cfg", [QUICK, CHAOS_SEED1], ids=["quick", "quick-seed1-chaos-mix"]
+    )
+    def test_every_policy_has_positive_goodput(self, cfg):
+        for name, policy in fleet_report(cfg)["policies"].items():
+            assert policy["service"]["goodput_tokens_per_s"] > 0, name
 
     def test_fleet_scale_extrapolation(self):
         report = fleet_report(QUICK)

@@ -263,9 +263,7 @@ class TestBenchCLI:
         assert rc == 1
         assert "REGRESSION [checksum]" in capsys.readouterr().out
 
-    def test_legacy_experiment_path_still_works(self, capsys, monkeypatch,
-                                                tmp_path):
-        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
-        rc = main(["bench", "fig03", "--no-save"])
+    def test_legacy_experiment_path_still_works(self, capsys):
+        rc = main(["bench", "fig03"])
         assert rc == 0
         assert "Compression ratio" in capsys.readouterr().out

@@ -1,16 +1,27 @@
-"""Content pins on the ``--json`` replays.
+"""Content pins on the ``--json`` replays and on ``results/REPORT.md``.
 
-Each case builds the report string a ``repro ... --json`` command
-prints (its stdout without the trailing newline) and checks its
+Each replay case builds the report string a ``repro ... --json``
+command prints (its stdout without the trailing newline) and checks its
 sha256.  CI's ``cmp`` of two runs proves a replay is deterministic;
-these digests prove it has not changed.  A change that moves a
-modelled number on purpose updates the digest here and says why.
+these digests prove it has not changed.
+
+The reproduction report is pinned by its bytes, one test per ``## ``
+section, against a fresh rendering of the session's registry run, so a
+failure names the experiment whose numbers moved and shows the diff.
+
+A change that moves a modelled number on purpose updates the digest
+here, or regenerates REPORT.md with ``repro report``, and says why.
 """
 
+import difflib
 import hashlib
+import re
+from pathlib import Path
 
 import pytest
 
+from repro.bench.report import render_report
+from repro.cli import EXPERIMENTS
 from repro.fleet import FleetConfig, fleet_report_json
 from repro.integrity import IntegrityConfig, integrity_report_json
 from repro.llm.chaos import ChaosConfig, chaos_report_json
@@ -54,3 +65,58 @@ REPLAYS = {
 def test_replay_digest_is_pinned(command):
     report, digest = REPLAYS[command]
     assert hashlib.sha256(report().encode()).hexdigest() == digest
+
+
+REPORT = Path(__file__).resolve().parents[1] / "results" / "REPORT.md"
+HEADLINE = "Headline comparison"
+
+
+def _sections(report):
+    """Split a report at its ``## `` headings: section name -> text.
+
+    A section is named by its heading up to the first colon (the
+    registry id); the title block above the first heading belongs to
+    the first section.
+    """
+    title, *chunks = re.split(r"(?m)^(?=## )", report)
+    sections = {}
+    for chunk in chunks:
+        name = chunk[len("## "):].split("\n", 1)[0].split(":", 1)[0]
+        sections[name] = chunk
+    first = next(iter(sections))
+    sections[first] = title + sections[first]
+    return sections
+
+
+@pytest.fixture(scope="module")
+def committed_sections():
+    return _sections(REPORT.read_bytes().decode("utf-8"))
+
+
+@pytest.fixture(scope="module")
+def fresh_sections(experiments):
+    return _sections(render_report(experiments))
+
+
+def test_report_sections_are_the_registry(committed_sections, fresh_sections):
+    expected = [HEADLINE, *sorted(EXPERIMENTS)]
+    assert list(fresh_sections) == expected
+    assert list(committed_sections) == expected
+
+
+@pytest.mark.parametrize("section", [HEADLINE, *sorted(EXPERIMENTS)])
+def test_report_section_is_pinned(section, committed_sections, fresh_sections):
+    committed = committed_sections.get(section, "")
+    fresh = fresh_sections[section]
+    if committed != fresh:
+        diff = "".join(difflib.unified_diff(
+            committed.splitlines(keepends=True),
+            fresh.splitlines(keepends=True),
+            "results/REPORT.md", "repro report",
+        ))
+        pytest.fail(
+            f"REPORT.md section {section!r} differs from a fresh run "
+            f"(regenerate with `repro report` if the change is "
+            f"intended):\n{diff}",
+            pytrace=False,
+        )

@@ -297,14 +297,14 @@ class TestStreamingServerDeterminism:
 
 
 class TestExtServerBench:
-    def test_quick_bench_shows_savings(self):
-        from repro.bench import ext_server
-
-        exp = ext_server(
-            scenarios=[("steady", ServerConfig())], quick=True
-        )
+    def test_bench_shows_savings(self, experiments):
+        exp = experiments["ext_server"]
         assert exp.exp_id == "ext_server"
-        assert exp.metrics["steady_prefill_tokens_saved_frac"] > 0
-        assert exp.metrics["steady_p99_ttft_speedup"] > 1.0
+        scenarios = ("steady", "long-history", "gpu-crash")
+        for label in scenarios:
+            assert exp.metric(f"{label}_prefill_tokens_saved_frac") > 0
+            assert exp.metric(f"{label}_p99_ttft_speedup") > 1.0
         arms = {(row[0], row[1]) for row in exp.rows}
-        assert arms == {("steady", "reuse"), ("steady", "no-reuse")}
+        assert arms == {
+            (label, arm) for label in scenarios for arm in ("reuse", "no-reuse")
+        }

@@ -42,11 +42,3 @@ class TestCsvExport:
         assert rows[0] == exp.headers
         assert len(rows) == 1 + len(exp.rows)
         assert rows[1][0] == "spinfer"
-
-    def test_default_path_uses_results_dir(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
-        exp = kernel_sweep(512, 512, kernels=("spinfer",), ns=(8,),
-                           sparsities=(0.5,), exp_id="mini")
-        path = export_csv(exp)
-        assert path == str(tmp_path / "mini.csv")
-        assert os.path.exists(path)
