@@ -28,7 +28,7 @@ def main() -> None:
     for fw, stats in sorted(results.items()):
         rows.append([
             fw,
-            f"{stats.throughput_tokens_per_s:.0f}",
+            f"{stats.goodput_tokens_per_s:.0f}",
             f"{stats.mean_latency_s:.1f}",
             f"{stats.latency_percentile(95):.1f}",
             stats.peak_batch,

@@ -30,8 +30,9 @@ module instruments real runs and checks exactly that:
   spin, caught structurally).
 
 ``check_builtin_schedules`` is the ``repro lint --schedule`` sweep:
-every builtin serving / disaggregation / chaos scenario must produce a
-race-free schedule log AND pass dual replay, while the deliberately
+every builtin serving / disaggregation / chaos / server / fleet
+scenario must produce a race-free schedule log AND pass dual replay
+(for the server, its token stream too), while the deliberately
 broken schedules in :data:`BROKEN_SCHEDULES` must trip exactly their
 documented rules (a missing expected finding is an error — the checker
 itself regressed).
@@ -267,6 +268,7 @@ def _stats_digest(stats) -> Dict:
         "wasted_recompute_tokens",
     ):
         digest[counter] = getattr(stats, counter, 0)
+    digest["stream"] = getattr(stats, "stream", None)
     return digest
 
 
@@ -390,10 +392,42 @@ def _chaos_scenario(plan: str, policy: str) -> Scenario:
     return scenario
 
 
+def _server_scenario(plan: Optional[str]) -> Scenario:
+    def scenario(loop: EventLoop, recorder: Optional[ScheduleRecorder] = None):
+        from ..server.streaming import ServerConfig, build_server
+
+        cfg = ServerConfig(fault_plan=plan).quick()
+        server = build_server(cfg, loop=loop)
+        if recorder is not None:
+            recorder.set_trace(server.runtime.trace)
+        stats = server.run(cfg.workload())
+        # The token stream is the server's observable output: H002
+        # compares it along with the trace and the terminal stats.
+        return SimpleNamespace(**vars(stats), stream=server.stream.keys())
+
+    return scenario
+
+
+def _fleet_scenario(plan: Optional[str]) -> Scenario:
+    def scenario(loop: EventLoop, recorder: Optional[ScheduleRecorder] = None):
+        from ..fleet.autoscaler import AUTOSCALER_POLICIES
+        from ..fleet.planner import FleetConfig, run_fleet_policy
+
+        return run_fleet_policy(
+            FleetConfig(fault_plan=plan, quick=True),
+            AUTOSCALER_POLICIES["target-util"],
+            loop=loop,
+            recorder=recorder,
+        ).stats
+
+    return scenario
+
+
 def builtin_schedule_scenarios() -> Dict[str, Scenario]:
     """Every scenario the schedule sweep instruments and dual-replays:
-    plain serving (both policies), plain disaggregation, and one
-    recovery policy per builtin fault plan."""
+    plain serving (both policies), plain disaggregation, one recovery
+    policy per builtin fault plan, and the quick streaming server and
+    autoscaled fleet, each fault-free and under faults."""
     return {
         "serving-fcfs-chunked": _serving_scenario("fcfs", chunked=True),
         "serving-sjf-blocking": _serving_scenario("sjf", chunked=False),
@@ -402,6 +436,10 @@ def builtin_schedule_scenarios() -> Dict[str, Scenario]:
         "chaos-stragglers/retry": _chaos_scenario("stragglers", "retry"),
         "chaos-chaos-mix/reroute": _chaos_scenario("chaos-mix", "reroute"),
         "chaos-flaky-link/retry": _chaos_scenario("flaky-link", "retry"),
+        "server-quick": _server_scenario(None),
+        "server-quick/gpu-crash": _server_scenario("gpu-crash"),
+        "fleet-quick/target-util": _fleet_scenario(None),
+        "fleet-quick/target-util/chaos-mix": _fleet_scenario("chaos-mix"),
     }
 
 

@@ -6,14 +6,14 @@ continuous-batching server viable on consumer GPUs, then the next
 question a deployment asks is what that server does when a consumer GPU
 *fails*.  This experiment replays the same Poisson trace under each
 builtin fault plan once per recovery policy and tabulates the SLO
-metrics the chaos harness computes.
+metrics of the chaos harness's report (``repro chaos --json``).
 """
 
 from __future__ import annotations
 
 from typing import List
 
-from ..llm.chaos import ChaosConfig, compare_recovery_policies
+from ..llm.chaos import ChaosConfig, chaos_report
 from .harness import Experiment
 
 __all__ = ["ext_chaos"]
@@ -24,33 +24,32 @@ def ext_chaos() -> Experiment:
     rows: List[List[object]] = []
     metrics = {}
     for plan in ("gpu-crash", "stragglers", "chaos-mix", "flaky-link"):
-        results = compare_recovery_policies(ChaosConfig(plan=plan))
-        for name, stats in sorted(results.items()):
+        results = chaos_report(ChaosConfig(plan=plan))["policies"]
+        for name, m in sorted(results.items()):
             rows.append([
                 plan,
                 name,
-                len(stats.completed),
-                len(stats.failed) + len(stats.shed)
-                + len(stats.timed_out) + len(stats.cancelled),
-                stats.retries,
-                stats.wasted_recompute_tokens,
-                stats.goodput_tokens_per_s,
-                stats.availability,
+                m["completed"],
+                m["failed"] + m["shed"] + m["timed_out"] + m["cancelled"],
+                m["retries"],
+                m["wasted_recompute_tokens"],
+                m["goodput_tokens_per_s"],
+                m["availability"],
             ])
         if plan == "gpu-crash":
             ff = results["fail-fast"]
             rr = results["reroute"]
             metrics["reroute_goodput_gain_vs_fail_fast"] = (
-                rr.goodput_tokens_per_s / ff.goodput_tokens_per_s
+                rr["goodput_tokens_per_s"] / ff["goodput_tokens_per_s"]
             )
-            metrics["reroute_availability"] = rr.availability
-            metrics["fail_fast_availability"] = ff.availability
+            metrics["reroute_availability"] = rr["availability"]
+            metrics["fail_fast_availability"] = ff["availability"]
         if plan == "flaky-link":
             metrics["flaky_link_retry_completed"] = float(
-                len(results["retry"].completed)
+                results["retry"]["completed"]
             )
             metrics["flaky_link_fail_fast_completed"] = float(
-                len(results["fail-fast"].completed)
+                results["fail-fast"]["completed"]
             )
     return Experiment(
         exp_id="ext_chaos",

@@ -7,8 +7,9 @@ avoided* — the session prefix cache forks the previous turn's KV
 copy-on-write instead of re-prefilling it.  This experiment runs the
 IDENTICAL pinned session workload twice per scenario — prefix reuse on
 vs off — and tabulates prefill tokens actually charged, TTFT
-percentiles and makespan.  Everything else (seeds, policies, routing,
-fault plan) is held fixed, so the two arms differ only by the cache.
+percentiles and makespan from each run's ``repro server --json``
+report.  Everything else (seeds, policies, routing, fault plan) is held
+fixed, so the two arms differ only by the cache.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import List
 
-from ..server import ServerConfig, run_server
+from ..server import ServerConfig, server_report
 from .harness import Experiment
 
 __all__ = ["ext_server"]
@@ -35,29 +36,26 @@ def ext_server() -> Experiment:
     rows: List[List[object]] = []
     metrics = {}
     for label, cfg in scenarios:
-        per_arm = {}
+        arms = {}
         for reuse in (True, False):
-            server, stats = run_server(replace(cfg, reuse_prefix=reuse))
-            ttfts = sorted(
-                r.ttft_s for r in stats.completed if r.ttft_s is not None
-            )
-            p99 = ttfts[max(0, -(-99 * len(ttfts) // 100) - 1)] if ttfts else 0.0
-            per_arm[reuse] = (server, stats, p99)
+            report = server_report(replace(cfg, reuse_prefix=reuse))
+            cache = report["prefix_cache"]
+            p99 = report["latency"]["p99_ttft_s"]
+            arms[reuse] = (cache["prefill_tokens"], p99)
             rows.append([
                 label,
                 "reuse" if reuse else "no-reuse",
-                len(stats.completed),
-                stats.prefill_tokens,
-                stats.cached_prefill_tokens,
-                server.sessions.hits,
+                report["sessions"]["turns_completed"],
+                cache["prefill_tokens"],
+                cache["cached_prefill_tokens"],
+                cache["hits"],
                 p99,
-                stats.makespan_s,
+                report["runtime"]["makespan_s"],
             ])
-        _, on_stats, on_p99 = per_arm[True]
-        _, off_stats, off_p99 = per_arm[False]
-        if off_stats.prefill_tokens:
+        (on_prefill, on_p99), (off_prefill, off_p99) = arms[True], arms[False]
+        if off_prefill:
             metrics[f"{label}_prefill_tokens_saved_frac"] = (
-                1.0 - on_stats.prefill_tokens / off_stats.prefill_tokens
+                1.0 - on_prefill / off_prefill
             )
         if off_p99 > 0:
             metrics[f"{label}_p99_ttft_speedup"] = off_p99 / on_p99 if on_p99 else 0.0

@@ -39,7 +39,7 @@ def ext_serving() -> Experiment:
         rows.append(
             [
                 fw,
-                stats.throughput_tokens_per_s,
+                stats.goodput_tokens_per_s,
                 stats.mean_latency_s,
                 stats.latency_percentile(95),
                 stats.peak_batch,
@@ -50,7 +50,7 @@ def ext_serving() -> Experiment:
     if "spinfer" in results and "flash-llm" in results:
         sp, fl = results["spinfer"], results["flash-llm"]
         metrics["throughput_gain_vs_flash_llm"] = (
-            sp.throughput_tokens_per_s / fl.throughput_tokens_per_s
+            sp.goodput_tokens_per_s / fl.goodput_tokens_per_s
         )
         metrics["latency_gain_vs_flash_llm"] = (
             fl.mean_latency_s / sp.mean_latency_s
@@ -120,7 +120,7 @@ def ext_serving_runtime() -> Experiment:
         results[name] = stats
         rows.append([
             name,
-            stats.throughput_tokens_per_s,
+            stats.goodput_tokens_per_s,
             stats.mean_latency_s,
             stats.latency_percentile(99),
             stats.ttft_percentile(99),

@@ -291,11 +291,42 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import json as json_mod
+def _load_serve_trace(path: str) -> list:
+    """The ``serve --trace`` requests: a non-empty JSON list of objects
+    with ``request_id``, ``arrival_s``, ``prompt_len`` and ``output_len``.
+    Raises ValueError prefixed with the index of the record at fault."""
+    from .llm.serving import Request
 
+    with open(path) as fh:
+        raw = json.load(fh)
+    if not isinstance(raw, list) or not raw:
+        raise ValueError("the trace must be a non-empty JSON list of requests")
+    requests, seen = [], set()
+    for index, record in enumerate(raw):
+        try:
+            if not isinstance(record, dict):
+                raise ValueError(
+                    f"expected an object, got {type(record).__name__}"
+                )
+            req = Request(
+                request_id=int(record["request_id"]),
+                arrival_s=float(record["arrival_s"]),
+                prompt_len=int(record["prompt_len"]),
+                output_len=int(record["output_len"]),
+            )
+            if req.request_id in seen:
+                raise ValueError(f"duplicate request_id {req.request_id}")
+        except KeyError as exc:
+            raise ValueError(f"{index}: missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{index}: {exc}") from None
+        seen.add(req.request_id)
+        requests.append(req)
+    return requests
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
     from .llm.serving import (
-        Request,
         ServingConfig,
         ServingSimulator,
         mixed_workload,
@@ -303,17 +334,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
 
     if args.trace:
-        with open(args.trace) as fh:
-            raw = json_mod.load(fh)
-        requests = [
-            Request(
-                request_id=int(r["request_id"]),
-                arrival_s=float(r["arrival_s"]),
-                prompt_len=int(r["prompt_len"]),
-                output_len=int(r["output_len"]),
-            )
-            for r in raw
-        ]
+        try:
+            requests = _load_serve_trace(args.trace)
+        except (OSError, ValueError) as exc:
+            print(f"serve: {exc}", file=sys.stderr)
+            return 2
     elif len(args.output_lens) > 1:
         requests = mixed_workload(
             args.requests, arrival_rate=args.arrival_rate,
@@ -356,7 +381,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         "completed": len(stats.completed),
         "rejected": [r.request_id for r in stats.rejected],
         "makespan_s": stats.makespan_s,
-        "throughput_tokens_per_s": stats.throughput_tokens_per_s,
+        "throughput_tokens_per_s": stats.goodput_tokens_per_s,
         "peak_batch": stats.peak_batch,
         "preemptions": stats.preemptions,
         "iterations": stats.iterations,
@@ -389,7 +414,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.json:
         # Versioned + key-sorted so replays are byte-comparable (the
         # same contract repro chaos/server --json honour).
-        print(json_mod.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(
             f"{cfg.model} / {cfg.framework} on {cfg.num_gpus}x{cfg.gpu} "
@@ -402,7 +427,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if stats.rejected:
             print(f"  rejected   : {len(stats.rejected)} request(s) whose "
                   "KV exceeds the whole pool")
-        print(f"  throughput : {stats.throughput_tokens_per_s:8.1f} tokens/s")
+        print(f"  throughput : {stats.goodput_tokens_per_s:8.1f} tokens/s")
         if stats.completed:
             print(f"  latency    : mean {stats.mean_latency_s:.2f} s, "
                   f"p99 {stats.latency_percentile(99):.2f} s")
@@ -422,9 +447,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_server(args: argparse.Namespace) -> int:
-    import json as json_mod
-
-    from .server import ServerConfig, server_report
+    from .server import ServerConfig, server_report, server_report_json
 
     cfg = ServerConfig(
         model=args.model,
@@ -442,11 +465,10 @@ def _cmd_server(args: argparse.Namespace) -> int:
     )
     if args.quick:
         cfg = cfg.quick()
-    report = server_report(cfg)
     if args.json:
-        payload = {"schema": "repro-server/v1", "report": report}
-        print(json_mod.dumps(payload, indent=2, sort_keys=True))
+        print(server_report_json(cfg))
         return 0
+    report = server_report(cfg)
     sess, cache, lat = (
         report["sessions"], report["prefix_cache"], report["latency"]
     )
@@ -477,11 +499,15 @@ def _cmd_server(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    import json as json_mod
-
-    from .llm.chaos import ChaosConfig, chaos_report
+    from .llm.chaos import ChaosConfig, chaos_report, chaos_report_json
+    from .runtime import FaultPlan
 
     try:
+        fault_plan = None
+        if args.plan_file is not None:
+            # Read once per command: every policy arm runs this plan.
+            with open(args.plan_file) as fh:
+                fault_plan = FaultPlan.from_dict(json.load(fh))
         cfg = ChaosConfig(
             model=args.model,
             framework=args.framework,
@@ -491,23 +517,24 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             arrival_rate=args.arrival_rate,
             seed=args.seed,
             plan=args.plan,
-            plan_file=getattr(args, "plan_file", None),
+            fault_plan=fault_plan,
         )
     except (ValueError, OSError, KeyError) as exc:
+        # A bad --plan-file surfaces here: unreadable path, invalid
+        # JSON, or FaultPlan.from_dict naming the offending key.
         print(f"chaos: {exc}", file=sys.stderr)
         return 2
     if args.quick:
         cfg = cfg.quick()
     try:
+        if args.json:
+            print(chaos_report_json(cfg, policies=args.policies))
+            return 0
         report = chaos_report(cfg, policies=args.policies)
-    except (ValueError, OSError) as exc:
-        # A bad --plan-file surfaces here: unreadable path, invalid
-        # JSON, or FaultPlan.from_dict naming the offending key.
+    except ValueError as exc:
+        # A plan file whose events the injector rejects when it arms.
         print(f"chaos: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        print(json_mod.dumps(report, indent=2, sort_keys=True))
-        return 0
     print(
         f"chaos: plan {cfg.plan!r} on {cfg.model} / {cfg.framework}, "
         f"{cfg.replicas} replica(s), {cfg.num_requests} request(s)"
@@ -531,19 +558,20 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_integrity(args: argparse.Namespace) -> int:
-    import json as json_mod
-
-    from .integrity import IntegrityConfig, integrity_report
+    from .integrity import IntegrityConfig, integrity_report, integrity_report_json
+    from .llm.chaos import ChaosConfig
 
     try:
         cfg = IntegrityConfig(
-            model=args.model,
-            framework=args.framework,
-            gpu=args.gpu,
-            replicas=args.replicas,
-            num_requests=args.requests,
-            arrival_rate=args.arrival_rate,
-            seed=args.seed,
+            chaos=ChaosConfig(
+                model=args.model,
+                framework=args.framework,
+                gpu=args.gpu,
+                replicas=args.replicas,
+                num_requests=args.requests,
+                arrival_rate=args.arrival_rate,
+                seed=args.seed,
+            ),
             recovery=args.recovery,
             plans=tuple(args.plans) if args.plans else IntegrityConfig().plans,
         )
@@ -552,14 +580,15 @@ def _cmd_integrity(args: argparse.Namespace) -> int:
         return 2
     if args.quick:
         cfg = cfg.quick()
-    report = integrity_report(cfg)
     if args.json:
-        print(json_mod.dumps(report, indent=2, sort_keys=True))
+        print(integrity_report_json(cfg))
         return 0
+    report = integrity_report(cfg)
+    chaos = cfg.chaos
     print(
-        f"integrity: plans {', '.join(cfg.plans)} on {cfg.model} / "
-        f"{cfg.framework}, {cfg.replicas} replica(s), "
-        f"{cfg.num_requests} request(s), recovery {cfg.recovery!r}"
+        f"integrity: plans {', '.join(cfg.plans)} on {chaos.model} / "
+        f"{chaos.framework}, {chaos.replicas} replica(s), "
+        f"{chaos.num_requests} request(s), recovery {cfg.recovery!r}"
     )
     rows = []
     for arm, data in sorted(report["arms"].items()):
@@ -586,9 +615,7 @@ def _cmd_integrity(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    import json as json_mod
-
-    from .fleet import FleetConfig, fleet_report
+    from .fleet import FleetConfig, fleet_report, fleet_report_json
 
     try:
         cfg = FleetConfig(
@@ -602,14 +629,13 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             seed=args.seed,
             quick=args.quick,
         )
+        if args.json:
+            print(fleet_report_json(cfg))
+            return 0
         report = fleet_report(cfg)
     except (KeyError, ValueError) as exc:
         print(f"bad fleet scenario: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        payload = {"schema": "repro-fleet/v1", "report": report}
-        print(json_mod.dumps(payload, indent=2, sort_keys=True))
-        return 0
     traffic = report["traffic"]
     print(
         f"fleet: {cfg.fleet!r} under {cfg.profile!r} traffic "

@@ -20,7 +20,8 @@ fault-free and under the chaos-mix fault plan.
 
 Everything is a pure function of (fleet, profile, policy set, fault
 plan, seed): :func:`fleet_report_json` serialises with sorted keys and
-pinned rounding, so two runs diff byte-identically (``cmp`` in CI).
+pinned rounding, so two runs are byte-identical
+(``tests/test_replay_pins.py`` pins the quick replays by sha256).
 """
 
 from __future__ import annotations
@@ -93,8 +94,15 @@ def run_fleet_policy(
     cfg: FleetConfig,
     policy: AutoscalerPolicy,
     loop=None,
+    recorder=None,
 ) -> FleetOutcome:
-    """Run the scenario's pinned workload through one policy."""
+    """Run the scenario's pinned workload through one policy.
+
+    ``loop`` and ``recorder`` are the H-family schedule lint's hooks,
+    as in :func:`~repro.llm.chaos.run_chaos`: an instrumented or
+    tie-break-permuted loop, and a recorder bound to the fleet's trace
+    before the run.
+    """
     profile = cfg.traffic()
     plan = (
         builtin_fault_plans()[cfg.fault_plan]
@@ -109,6 +117,8 @@ def run_fleet_policy(
         horizon_s=profile.horizon_s,
         loop=loop,
     )
+    if recorder is not None:
+        recorder.set_trace(sim.runtime.trace)
     return sim.run(generate_sessions(profile))
 
 

@@ -17,7 +17,8 @@ under three arms —
 — and reports detection rate, false negatives (corrupted requests that
 completed anyway), goodput, and the modelled verification overhead per
 arm.  Everything is deterministic: ``integrity_report_json`` is
-byte-identical across runs, which is what the CI replay gate diffs.
+byte-identical across runs, and ``tests/test_replay_pins.py`` pins its
+quick replays by sha256.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import json
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
-from ..llm.chaos import ChaosConfig, run_chaos
+from ..llm.chaos import PROMPT_LEN, ChaosConfig, run_chaos
 from ..runtime import RuntimeStats
 from .policy import INTEGRITY_POLICIES, IntegrityPolicy
 
@@ -53,25 +54,21 @@ _ARMS: Tuple[Tuple[str, Optional[str]], ...] = (
 
 @dataclass(frozen=True)
 class IntegrityConfig:
-    """One integrity experiment: workload + fleet + SDC plan set."""
+    """One integrity experiment: a chaos scenario run once per SDC plan.
 
-    model: str = "opt-13b"
-    framework: str = "spinfer"
-    gpu: str = "RTX4090"
-    replicas: int = 2
-    num_requests: int = 24
-    arrival_rate: float = 4.0
-    prompt_len: int = 64
-    output_len: int = 96
-    seed: int = 3
+    Every arm and plan shares ``chaos`` (workload, fleet and seeds);
+    each run replaces only its ``plan``.
+    """
+
+    chaos: ChaosConfig = ChaosConfig()
     #: Recovery policy shared by every arm — quarantine reuses its
     #: reroute machinery, so the arms differ ONLY in integrity.
     recovery: str = "reroute"
     plans: Tuple[str, ...] = SDC_ROUTER_PLANS + SDC_DISAGG_PLANS
 
     def __post_init__(self) -> None:
-        if self.replicas <= 0:
-            raise ValueError("need at least one replica")
+        if self.chaos.fault_plan is not None:
+            raise ValueError("integrity runs its builtin SDC plans, not a custom one")
         if not self.plans:
             raise ValueError("need at least one fault plan")
         known = set(SDC_ROUTER_PLANS) | set(SDC_DISAGG_PLANS)
@@ -83,21 +80,7 @@ class IntegrityConfig:
 
     def quick(self) -> "IntegrityConfig":
         """A smaller copy for smoke tests and the CI gate."""
-        return replace(self, num_requests=12, output_len=64)
-
-    def chaos_config(self, plan: str) -> ChaosConfig:
-        return ChaosConfig(
-            model=self.model,
-            framework=self.framework,
-            gpu=self.gpu,
-            replicas=self.replicas,
-            num_requests=self.num_requests,
-            arrival_rate=self.arrival_rate,
-            prompt_len=self.prompt_len,
-            output_len=self.output_len,
-            seed=self.seed,
-            plan=plan,
-        )
+        return replace(self, chaos=self.chaos.quick())
 
 
 def run_integrity(
@@ -114,7 +97,7 @@ def run_integrity(
         )
         results[arm] = {
             plan: run_chaos(
-                cfg.chaos_config(plan), cfg.recovery, integrity=policy
+                replace(cfg.chaos, plan=plan), cfg.recovery, integrity=policy
             )
             for plan in cfg.plans
         }
@@ -174,18 +157,19 @@ def integrity_report(cfg: IntegrityConfig) -> Dict:
     overhead = 0.0
     if off["goodput_tokens_per_s"] > 0:
         overhead = 1.0 - on["goodput_tokens_per_s"] / off["goodput_tokens_per_s"]
+    chaos = cfg.chaos
     return {
         "schema": "repro-integrity/v1",
         "scenario": {
-            "model": cfg.model,
-            "framework": cfg.framework,
-            "gpu": cfg.gpu,
-            "replicas": cfg.replicas,
-            "num_requests": cfg.num_requests,
-            "arrival_rate": cfg.arrival_rate,
-            "prompt_len": cfg.prompt_len,
-            "output_len": cfg.output_len,
-            "seed": cfg.seed,
+            "model": chaos.model,
+            "framework": chaos.framework,
+            "gpu": chaos.gpu,
+            "replicas": chaos.replicas,
+            "num_requests": chaos.num_requests,
+            "arrival_rate": chaos.arrival_rate,
+            "prompt_len": PROMPT_LEN,
+            "output_len": chaos.output_len,
+            "seed": chaos.seed,
             "recovery": cfg.recovery,
             "plans": list(cfg.plans),
         },

@@ -51,7 +51,6 @@ from .serving import (
     Request,
     ServingConfig,
     ServingSimulator,
-    ServingStats,
     compare_frameworks,
     mixed_workload,
     poisson_workload,
@@ -84,7 +83,6 @@ __all__ = [
     "Request",
     "ServingConfig",
     "ServingSimulator",
-    "ServingStats",
     "compare_frameworks",
     "KVBlockAllocator",
     "SequenceAllocation",

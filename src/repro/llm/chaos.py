@@ -11,7 +11,8 @@ recompute tokens) side by side.
 Everything here is deterministic end to end: the workload comes from a
 seeded generator, the fault plan is pinned, backoff jitter is an
 integer hash — so ``chaos_report`` produces byte-identical JSON on
-every run, which is exactly what the CI replay gate diffs.
+every run, and ``tests/test_replay_pins.py`` pins its quick replays by
+sha256.
 """
 
 from __future__ import annotations
@@ -28,13 +29,12 @@ from ..runtime import (
     builtin_fault_plans,
     get_recovery_policy,
 )
-from .serving import Request, ServingConfig, ServingSimulator, poisson_workload
+from .serving import Request, poisson_workload, replica_pools
 
 __all__ = [
     "ChaosConfig",
     "build_chaos_runtime",
     "run_chaos",
-    "compare_recovery_policies",
     "chaos_report",
 ]
 
@@ -43,10 +43,17 @@ __all__ = [
 ROUTER_PLANS = ("gpu-crash", "stragglers", "chaos-mix", "sdc-replica", "weight-flip")
 DISAGG_PLANS = ("flaky-link", "kv-poison")
 
+#: Prompt tokens of every request in the router workload.
+PROMPT_LEN = 64
+
 
 @dataclass(frozen=True)
 class ChaosConfig:
-    """One chaos scenario: workload + fleet + fault plan."""
+    """One chaos scenario: workload + fleet + fault plan.
+
+    Every replica runs the router's scheduler defaults (FCFS, chunked
+    prefill, preemption) over :func:`~repro.llm.serving.replica_pools`.
+    """
 
     model: str = "opt-13b"
     framework: str = "spinfer"
@@ -54,29 +61,23 @@ class ChaosConfig:
     replicas: int = 2
     num_requests: int = 24
     arrival_rate: float = 4.0
-    prompt_len: int = 64
     output_len: int = 96
     seed: int = 3
-    max_batch: int = 16
-    #: Tight KV cap so the scenario stresses admission, not DRAM size.
-    kv_cap_tokens: Optional[int] = 20000
-    policy: str = "fcfs"
-    chunk_tokens: int = 128
     plan: str = "gpu-crash"
-    #: Path to a JSON :class:`FaultPlan` (``repro chaos --plan-file``).
-    #: When set it replaces the builtin ``plan``; the runtime target is
+    #: A custom :class:`FaultPlan` (``repro chaos --plan-file``).  When
+    #: set it replaces the builtin ``plan``; the runtime target is
     #: inferred from the events — a plan whose every target is
     #: ``prefill``/``decode`` drives the disaggregated runtime, anything
     #: else the replica router.
-    plan_file: Optional[str] = None
+    fault_plan: Optional[FaultPlan] = None
 
     def __post_init__(self) -> None:
         if self.replicas <= 0:
             raise ValueError("need at least one replica")
         if self.num_requests <= 0 or self.arrival_rate <= 0:
             raise ValueError("need a positive workload")
-        if self.plan_file is not None:
-            return  # the plan comes from the file, not the builtins
+        if self.fault_plan is not None:
+            return  # a custom plan, not one of the builtins
         known = set(ROUTER_PLANS) | set(DISAGG_PLANS)
         if self.plan not in known:
             raise ValueError(
@@ -95,25 +96,24 @@ def _workload(cfg: ChaosConfig) -> List[Request]:
     return poisson_workload(
         cfg.num_requests,
         cfg.arrival_rate,
-        prompt_len=cfg.prompt_len,
+        prompt_len=PROMPT_LEN,
         output_len=cfg.output_len,
         seed=cfg.seed,
     )
 
 
 def _fault_plan(cfg: ChaosConfig) -> FaultPlan:
-    if cfg.plan_file is not None:
-        with open(cfg.plan_file) as fh:
-            return FaultPlan.from_dict(json.load(fh))
+    if cfg.fault_plan is not None:
+        return cfg.fault_plan
     return builtin_fault_plans()[cfg.plan]
 
 
 def _targets_disagg(cfg: ChaosConfig) -> bool:
     """Whether the scenario drives the disaggregated runtime."""
-    if cfg.plan_file is not None:
-        plan = _fault_plan(cfg)
-        return bool(plan.events) and all(
-            ev.target in ("prefill", "decode") for ev in plan.events
+    if cfg.fault_plan is not None:
+        events = cfg.fault_plan.events
+        return bool(events) and all(
+            ev.target in ("prefill", "decode") for ev in events
         )
     return cfg.plan in DISAGG_PLANS
 
@@ -124,29 +124,12 @@ def build_chaos_runtime(
     """Replica fleet + injector for one policy run (router plans only)."""
     if _targets_disagg(cfg):
         raise ValueError(
-            f"plan {cfg.plan!r} targets the disaggregated runtime; "
+            f"plan {_fault_plan(cfg).name!r} targets the disaggregated runtime; "
             "use run_chaos()"
         )
-    serving_cfg = ServingConfig(
-        model=cfg.model,
-        framework=cfg.framework,
-        gpu=cfg.gpu,
-        max_batch=cfg.max_batch,
-        policy=cfg.policy,
-        chunked_prefill=True,
-        chunk_tokens=cfg.chunk_tokens,
-        preemption=True,
-        kv_cap_tokens=cfg.kv_cap_tokens,
-    )
-    sim = ServingSimulator(serving_cfg)
-    pools = [sim.build_pool(name=f"gpu{i}") for i in range(cfg.replicas)]
     return FaultTolerantRuntime(
-        pools,
+        replica_pools(cfg.model, cfg.framework, cfg.gpu, cfg.replicas),
         get_recovery_policy(recovery_name),
-        policy=cfg.policy,
-        prefill_mode="chunked",
-        chunk_tokens=cfg.chunk_tokens,
-        preemption=True,
         fault_plan=_fault_plan(cfg),
         loop=loop,
         integrity=integrity,
@@ -211,14 +194,6 @@ def run_chaos(
     return runtime.run(copy.deepcopy(_workload(cfg)))
 
 
-def compare_recovery_policies(
-    cfg: ChaosConfig, policies: Optional[Sequence[str]] = None
-) -> Dict[str, RuntimeStats]:
-    """Every policy against the identical workload + fault plan."""
-    names = list(policies) if policies else sorted(RECOVERY_POLICIES)
-    return {name: run_chaos(cfg, name) for name in names}
-
-
 def _policy_metrics(stats: RuntimeStats) -> Dict:
     return {
         "completed": len(stats.completed),
@@ -242,15 +217,17 @@ def _policy_metrics(stats: RuntimeStats) -> Dict:
 def chaos_report(
     cfg: ChaosConfig, policies: Optional[Sequence[str]] = None
 ) -> Dict:
-    """Deterministic JSON-ready comparison (``repro chaos --json``)."""
-    results = compare_recovery_policies(cfg, policies)
+    """Every policy against the identical workload + fault plan, as a
+    deterministic JSON-ready comparison (``repro chaos --json``)."""
     by_policy = {
-        name: _policy_metrics(stats) for name, stats in sorted(results.items())
+        name: _policy_metrics(run_chaos(cfg, name))
+        for name in sorted(set(policies or RECOVERY_POLICIES))
     }
     winner = max(
         sorted(by_policy),
         key=lambda name: by_policy[name]["goodput_tokens_per_s"],
     )
+    plan = _fault_plan(cfg)
     return {
         "scenario": {
             "model": cfg.model,
@@ -259,12 +236,12 @@ def chaos_report(
             "replicas": cfg.replicas,
             "num_requests": cfg.num_requests,
             "arrival_rate": cfg.arrival_rate,
-            "prompt_len": cfg.prompt_len,
+            "prompt_len": PROMPT_LEN,
             "output_len": cfg.output_len,
             "seed": cfg.seed,
-            "plan": cfg.plan if cfg.plan_file is None else _fault_plan(cfg).name,
+            "plan": plan.name,
         },
-        "fault_plan": _fault_plan(cfg).to_dict(),
+        "fault_plan": plan.to_dict(),
         "policies": by_policy,
         "winner_goodput": winner,
     }

@@ -30,12 +30,11 @@ the runtime must reproduce its throughput and makespan within 1 %.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..gpu.specs import get_gpu
-from ..runtime import ContinuousBatchingScheduler, GPUPool, RuntimeTrace
+from ..runtime import ContinuousBatchingScheduler, GPUPool, RuntimeStats
 from ..runtime.request import SessionRequest
 from .inference import InferenceConfig, InferenceEngine
 from .memory import kv_budget_bytes, kv_bytes_per_token
@@ -43,11 +42,11 @@ from .memory import kv_budget_bytes, kv_bytes_per_token
 __all__ = [
     "Request",
     "ServingConfig",
-    "ServingStats",
     "ServingSimulator",
     "compare_frameworks",
     "mixed_workload",
     "poisson_workload",
+    "replica_pools",
 ]
 
 #: The request model moved to :class:`repro.runtime.request.
@@ -117,8 +116,6 @@ class ServingConfig:
     #: Admission order: "fcfs" (arrival order) or "sjf" (shortest
     #: remaining output first — trades fairness for mean latency).
     policy: str = "fcfs"
-    #: Paged-KV block size (tokens per block).
-    block_size: int = 16
     #: Interleave prompt processing with decode steps instead of
     #: blocking the whole batch behind each new prefill.
     chunked_prefill: bool = False
@@ -139,63 +136,12 @@ class ServingConfig:
             raise ValueError("max_batch must be positive")
         if self.policy not in ("fcfs", "sjf"):
             raise ValueError(f"unknown policy {self.policy!r}; use fcfs or sjf")
-        if self.block_size <= 0 or self.chunk_tokens <= 0:
-            raise ValueError("block_size and chunk_tokens must be positive")
+        if self.chunk_tokens <= 0:
+            raise ValueError("chunk_tokens must be positive")
         if self.snapshot_every < 0:
             raise ValueError("snapshot_every cannot be negative")
         if self.kv_cap_tokens is not None and self.kv_cap_tokens <= 0:
             raise ValueError("kv_cap_tokens must be positive when set")
-
-
-@dataclass
-class ServingStats:
-    """Aggregate results of one simulated trace."""
-
-    completed: List[Request]
-    makespan_s: float
-    peak_batch: int
-    kv_budget_bytes: float
-    #: Requests whose worst-case KV exceeds the whole pool — admitted
-    #: nowhere, reported instead of spinning the scheduler forever.
-    rejected: List[Request] = field(default_factory=list)
-    preemptions: int = 0
-    iterations: int = 0
-    trace: Optional[RuntimeTrace] = None
-
-    @property
-    def throughput_tokens_per_s(self) -> float:
-        total = sum(r.output_len for r in self.completed)
-        return total / self.makespan_s if self.makespan_s > 0 else 0.0
-
-    def _percentile(self, values: List[float], pct: float) -> float:
-        """Nearest-rank percentile: the ``ceil(pct/100 * n)``-th smallest
-        value, so p50 of a small sample is a real median-ish value
-        rather than the truncation-index overshoot."""
-        if not values:
-            raise ValueError("no completed requests")
-        if not 0.0 <= pct <= 100.0:
-            raise ValueError(f"percentile must be in [0, 100], got {pct}")
-        ordered = sorted(values)
-        rank = math.ceil(pct / 100.0 * len(ordered))
-        return ordered[max(0, rank - 1)]
-
-    def latency_percentile(self, pct: float) -> float:
-        return self._percentile([r.latency_s for r in self.completed], pct)
-
-    def ttft_percentile(self, pct: float) -> float:
-        return self._percentile(
-            [r.ttft_s for r in self.completed if r.ttft_s is not None], pct
-        )
-
-    @property
-    def mean_latency_s(self) -> float:
-        lats = [r.latency_s for r in self.completed]
-        return sum(lats) / len(lats) if lats else 0.0
-
-    @property
-    def mean_ttft_s(self) -> float:
-        ttfts = [r.ttft_s for r in self.completed if r.ttft_s is not None]
-        return sum(ttfts) / len(ttfts) if ttfts else 0.0
 
 
 class ServingSimulator:
@@ -265,7 +211,6 @@ class ServingSimulator:
         return GPUPool(
             engine=self.engine,
             kv_budget_bytes=budget,
-            block_size=cfg.block_size,
             max_batch=cfg.max_batch,
             name=name,
         )
@@ -281,30 +226,18 @@ class ServingSimulator:
             snapshot_every=cfg.snapshot_every,
         )
 
-    def run(self, requests: List[Request], loop=None) -> ServingStats:
+    def run(self, requests: List[Request], loop=None) -> RuntimeStats:
         """Simulate the trace to completion on the event runtime.
 
         ``loop`` lets instrumented callers (the H-family schedule lint)
         supply an :class:`~repro.runtime.core.EventLoop` carrying an
         observer or a permuted tie-break.
         """
-        if not requests:
-            raise ValueError("empty workload")
-        res = self.build_scheduler().run(requests, loop=loop)
-        return ServingStats(
-            completed=res.completed,
-            makespan_s=res.makespan_s,
-            peak_batch=res.peak_batch,
-            kv_budget_bytes=self.kv_budget,
-            rejected=res.rejected,
-            preemptions=res.preemptions,
-            iterations=res.iterations,
-            trace=res.trace,
-        )
+        return self.build_scheduler().run(requests, loop=loop)
 
     # ---- legacy baseline -------------------------------------------------------------
 
-    def run_legacy(self, requests: List[Request]) -> ServingStats:
+    def run_legacy(self, requests: List[Request]) -> RuntimeStats:
         """The historical hand-rolled loop, kept as the translation-
         validation baseline for the event runtime.
 
@@ -379,14 +312,33 @@ class ServingSimulator:
                     still_running.append(r)
             running = still_running
 
-        return ServingStats(
+        return RuntimeStats(
             completed=completed,
+            rejected=rejected,
             makespan_s=now,
             peak_batch=peak_batch,
-            kv_budget_bytes=self.kv_budget,
-            rejected=rejected,
             iterations=iterations,
+            kv_budget_bytes=self.kv_budget,
         )
+
+
+def replica_pools(
+    model: str, framework: str, gpu: str, replicas: int
+) -> List[GPUPool]:
+    """The identical replica pools behind the router-backed scenarios
+    (chaos, integrity and the streaming server): 16-sequence batches
+    over a 20,000-token KV cap, so a scenario stresses admission rather
+    than DRAM size."""
+    sim = ServingSimulator(
+        ServingConfig(
+            model=model,
+            framework=framework,
+            gpu=gpu,
+            max_batch=16,
+            kv_cap_tokens=20000,
+        )
+    )
+    return [sim.build_pool(name=f"gpu{i}") for i in range(replicas)]
 
 
 def compare_frameworks(
@@ -395,11 +347,11 @@ def compare_frameworks(
     gpu: str = "RTX4090",
     num_gpus: int = 1,
     max_batch: int = 32,
-) -> Dict[str, ServingStats]:
+) -> Dict[str, RuntimeStats]:
     """Run the same trace under every framework that fits the hardware."""
     import copy
 
-    out: Dict[str, ServingStats] = {}
+    out: Dict[str, RuntimeStats] = {}
     for framework, sparsity in (
         ("spinfer", 0.6),
         ("flash-llm", 0.6),

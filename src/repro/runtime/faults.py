@@ -694,7 +694,6 @@ class FaultTolerantRuntime:
             prefill_mode=self._prefill_mode,
             chunk_tokens=self._chunk_tokens,
             preemption=self._preemption,
-            recovery=self.recovery,
         ).attach(self.loop, self.trace, self.stats)
         sched.router = self
         sched.integrity = self.integrity
@@ -775,8 +774,7 @@ class FaultTolerantRuntime:
                 reason="no alive pools",
             )
             self.stats.shed.append(req)
-            if self.terminal_listener is not None:
-                self.terminal_listener(req)
+            self.on_terminal(req)
             return
         self._location[req.request_id] = sched
         self._attempts.setdefault(req.request_id, 1)
@@ -793,7 +791,9 @@ class FaultTolerantRuntime:
     # ---- scheduler callbacks ---------------------------------------------------------
 
     def on_terminal(self, req) -> None:
-        """A replica resolved the request (any terminal bucket)."""
+        """The request reached a terminal bucket, on a replica or here:
+        drop its deadline, pending resubmit and location, then tell the
+        ``terminal_listener``."""
         rid = req.request_id
         handle = self._deadlines.pop(rid, None)
         if handle is not None:
@@ -896,37 +896,26 @@ class FaultTolerantRuntime:
         ):
             return  # evict() resolved it through on_terminal
         # Not resident on any replica: it is waiting out a backoff.
-        pending = self._resubmits.pop(rid, None)
-        if pending is not None:
-            self.loop.cancel(pending[0])
-        self._location.pop(rid, None)
         self.trace.record(
             self.loop.now, EventKind.TIMEOUT, rid, "router", reason=reason
         )
         self.stats.timed_out.append(req)
-        if self.terminal_listener is not None:
-            self.terminal_listener(req)
+        self.on_terminal(req)
 
     def cancel_request(self, request_id: int) -> bool:
         sched = self._location.get(request_id)
         if sched is not None and sched.cancel_request(request_id):
             return True
-        pending = self._resubmits.pop(request_id, None)
+        pending = self._resubmits.get(request_id)
         if pending is None:
             return False
-        handle, req = pending
-        self.loop.cancel(handle)
-        dl = self._deadlines.pop(request_id, None)
-        if dl is not None:
-            self.loop.cancel(dl)
-        self._location.pop(request_id, None)
+        req = pending[1]
         self.trace.record(
             self.loop.now, EventKind.CANCEL, request_id, "router",
             reason="client cancelled",
         )
         self.stats.cancelled.append(req)
-        if self.terminal_listener is not None:
-            self.terminal_listener(req)
+        self.on_terminal(req)
         return True
 
     # ---- entry point -----------------------------------------------------------------

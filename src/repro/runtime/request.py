@@ -16,15 +16,15 @@ for what is really a runtime concept.  This module is the single home:
   scheduler and flushed at end-of-instant through
   :meth:`~repro.runtime.core.EventLoop.defer`.
 * :class:`TokenStream` — the deterministic per-token event log a
-  serving front-end subscribes to.  Buffered events flush once per
+  serving front-end reads.  Buffered events flush once per
   instant in ``(request_id, index)`` order, so the stream is invariant
   under the event loop's insertion tie-break (the H002 contract).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 __all__ = ["SessionRequest", "TokenEvent", "TokenStream"]
 
@@ -63,6 +63,12 @@ class SessionRequest:
     corrupted: bool = False
 
     def __post_init__(self) -> None:
+        if not self.arrival_s >= 0:
+            raise ValueError(f"arrival_s={self.arrival_s} must be >= 0")
+        if self.prompt_len < 0:
+            raise ValueError(f"prompt_len={self.prompt_len} must be >= 0")
+        if self.output_len < 1:
+            raise ValueError(f"output_len={self.output_len} must be >= 1")
         if not 0 <= self.cached_tokens <= self.prompt_len:
             raise ValueError(
                 f"cached_tokens={self.cached_tokens} outside "
@@ -145,11 +151,9 @@ class TokenStream:
     same timestamp.
     """
 
-    def __init__(self, subscriber: Optional[Callable] = None) -> None:
+    def __init__(self) -> None:
         #: The flushed, ordered stream (the server's observable output).
         self.events: List[TokenEvent] = []
-        #: Optional per-event callback, invoked at flush time.
-        self.subscriber = subscriber
         self._buffer: List[TokenEvent] = []
         self._armed = False
         self.flushes = 0
@@ -162,15 +166,11 @@ class TokenStream:
 
     def _flush(self) -> None:
         self._armed = False
-        batch = sorted(
-            self._buffer, key=lambda e: (e.request_id, e.index)
+        self.events.extend(
+            sorted(self._buffer, key=lambda e: (e.request_id, e.index))
         )
         self._buffer.clear()
         self.flushes += 1
-        self.events.extend(batch)
-        if self.subscriber is not None:
-            for event in batch:
-                self.subscriber(event)
 
     def for_request(self, request_id: int) -> List[TokenEvent]:
         return [e for e in self.events if e.request_id == request_id]

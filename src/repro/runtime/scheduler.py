@@ -29,6 +29,7 @@ pool B through a ``preloaded``-mode batching scheduler.
 from __future__ import annotations
 
 import heapq
+import math
 import zlib
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -155,6 +156,39 @@ class RuntimeStats:
     def retries_per_request(self) -> float:
         return self.retries / self.offered if self.offered else 0.0
 
+    # ---- latency of completed requests ----------------------------------------------
+
+    def _ttfts(self) -> List[float]:
+        return [r.ttft_s for r in self.completed if r.ttft_s is not None]
+
+    @staticmethod
+    def _nearest_rank(values: List[float], pct: float) -> float:
+        """The ``ceil(pct/100 * n)``-th smallest value, so p50 of a small
+        sample is a real sample rather than an interpolation."""
+        if not values:
+            raise ValueError("no completed requests")
+        if not 0.0 <= pct <= 100.0:
+            raise ValueError(f"percentile must be in [0, 100], got {pct}")
+        ordered = sorted(values)
+        rank = math.ceil(pct / 100.0 * len(ordered))
+        return ordered[max(0, rank - 1)]
+
+    def latency_percentile(self, pct: float) -> float:
+        return self._nearest_rank([r.latency_s for r in self.completed], pct)
+
+    def ttft_percentile(self, pct: float) -> float:
+        return self._nearest_rank(self._ttfts(), pct)
+
+    @property
+    def mean_latency_s(self) -> float:
+        lats = [r.latency_s for r in self.completed]
+        return sum(lats) / len(lats) if lats else 0.0
+
+    @property
+    def mean_ttft_s(self) -> float:
+        ttfts = self._ttfts()
+        return sum(ttfts) / len(ttfts) if ttfts else 0.0
+
 
 class ContinuousBatchingScheduler:
     """Iteration-level continuous batching over one :class:`GPUPool`."""
@@ -167,7 +201,6 @@ class ContinuousBatchingScheduler:
         chunk_tokens: int = 128,
         preemption: bool = False,
         snapshot_every: int = 0,
-        recovery=None,
     ) -> None:
         if prefill_mode not in PREFILL_MODES:
             raise ValueError(
@@ -183,15 +216,12 @@ class ContinuousBatchingScheduler:
         self.chunk_tokens = chunk_tokens
         self.preemption = preemption
         self.snapshot_every = snapshot_every
-        #: Optional :class:`~repro.runtime.faults.RecoveryPolicy`; the
-        #: scheduler reads only its ``shed_queue_depth`` (admission-time
-        #: load shedding).  None = never shed.
-        self.recovery = recovery
         #: Set by :class:`~repro.runtime.faults.FaultTolerantRuntime`
         #: when this scheduler is one replica behind a router.  The
-        #: router owns deadlines and crash rerouting; a scheduler
-        #: without one never crashes (the fault injector only targets
-        #: routers and the disaggregated runtime).
+        #: router owns deadlines and crash rerouting, and its recovery
+        #: policy's ``shed_queue_depth`` bounds this queue; a scheduler
+        #: without one never sheds and never crashes (the fault injector
+        #: only targets routers and the disaggregated runtime).
         self.router = None
         #: Optional :class:`~repro.runtime.request.TokenStream`: every
         #: decode token is pushed as a :class:`TokenEvent` and flushed
@@ -323,19 +353,17 @@ class ContinuousBatchingScheduler:
             self.stats.rejected.append(req)
             self._resolve(req)
             return
-        if (
-            self.recovery is not None
-            and self.recovery.shed_queue_depth is not None
-            and len(self._policy) >= self.recovery.shed_queue_depth
-        ):
+        shed_depth = (
+            self.router.recovery.shed_queue_depth
+            if self.router is not None
+            else None
+        )
+        if shed_depth is not None and len(self._policy) >= shed_depth:
             # Load shedding: reject-with-reason at admission instead of
             # letting a degraded fleet's queue collapse into timeouts.
             self.trace.record(
                 now, EventKind.SHED, req.request_id, self.pool.name,
-                reason=(
-                    f"queue depth {len(self._policy)} at limit "
-                    f"{self.recovery.shed_queue_depth}"
-                ),
+                reason=f"queue depth {len(self._policy)} at limit {shed_depth}",
             )
             self.stats.shed.append(req)
             self._resolve(req)
@@ -995,7 +1023,6 @@ class DisaggregatedRuntime:
         prefill_pool: GPUPool,
         decode_pool: GPUPool,
         migration_seconds: Callable[[int], float],
-        decode_policy: str = "fcfs",
         snapshot_every: int = 0,
         recovery=None,
         loop: Optional[EventLoop] = None,
@@ -1012,7 +1039,6 @@ class DisaggregatedRuntime:
         self.trace = RuntimeTrace()
         self.decode_sched = ContinuousBatchingScheduler(
             decode_pool,
-            policy=decode_policy,
             prefill_mode="preloaded",
             snapshot_every=snapshot_every,
         ).attach(self.loop, self.trace)

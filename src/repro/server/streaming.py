@@ -24,19 +24,18 @@ an elastic replica set, an admit-everything gate and no token stream.
 
 Everything — the workload, the gate, routing, token timestamps — is
 deterministic, so :func:`server_report` serialises byte-identically
-across runs; ``repro server --json`` replays are diffed with ``cmp``
-in CI, exactly like the chaos harness.
+across runs; ``tests/test_replay_pins.py`` pins the quick
+``repro server --json`` replays by sha256, like the chaos harness's.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..llm.serving import ServingConfig, ServingSimulator
+from ..llm.serving import replica_pools
 from ..runtime import (
     FaultPlan,
     FaultTolerantRuntime,
@@ -75,8 +74,6 @@ class ServerConfig:
     mean_think_s: float = 0.4
     tenants: Tuple[str, ...] = ("acme", "globex")
     seed: int = 5
-    max_batch: int = 16
-    kv_cap_tokens: Optional[int] = 20000
     server_policy: str = "standard"
     recovery: str = "reroute"
     #: None = fault-free; a builtin plan name injects faults mid-run.
@@ -244,15 +241,10 @@ class StreamingServer:
 
 
 def build_server(cfg: ServerConfig, loop=None) -> StreamingServer:
-    serving_cfg = ServingConfig(
-        model=cfg.model,
-        framework=cfg.framework,
-        gpu=cfg.gpu,
-        max_batch=cfg.max_batch,
-        kv_cap_tokens=cfg.kv_cap_tokens,
-    )
-    sim = ServingSimulator(serving_cfg)
-    pools = [sim.build_pool(name=f"gpu{i}") for i in range(cfg.replicas)]
+    """The scenario's server over :func:`~repro.llm.serving.
+    replica_pools`, with a token stream; ``loop`` lets the H-family
+    schedule lint supply an instrumented or tie-break-permuted loop."""
+    pools = replica_pools(cfg.model, cfg.framework, cfg.gpu, cfg.replicas)
     plan = (
         builtin_fault_plans()[cfg.fault_plan]
         if cfg.fault_plan is not None
@@ -269,35 +261,22 @@ def build_server(cfg: ServerConfig, loop=None) -> StreamingServer:
     )
 
 
-def run_server(
-    cfg: ServerConfig, loop=None
-) -> Tuple[StreamingServer, RuntimeStats]:
-    server = build_server(cfg, loop=loop)
+def run_server(cfg: ServerConfig) -> Tuple[StreamingServer, RuntimeStats]:
+    server = build_server(cfg)
     stats = server.run(cfg.workload())
     return server, stats
 
 
-def _percentile(values: List[float], pct: float) -> float:
-    """Nearest-rank percentile (the serving layer's convention)."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = math.ceil(pct / 100.0 * len(ordered))
-    return ordered[max(0, rank - 1)]
-
-
-def _ttfts(stats: RuntimeStats) -> List[float]:
-    return [
-        r.ttft_s
-        for r in stats.completed
-        if r.ttft_s is not None
-    ]
-
-
 def server_report(cfg: ServerConfig) -> Dict:
-    """Deterministic JSON-ready summary (``repro server --json``)."""
+    """Deterministic JSON-ready summary (``repro server --json``).
+
+    A run that completes no turn reports its TTFT percentiles as 0.0.
+    """
     server, stats = run_server(cfg)
-    ttfts = _ttfts(stats)
+
+    def ttft(pct: float) -> float:
+        return round(stats.ttft_percentile(pct), 9) if stats.completed else 0.0
+
     stream_digest = hashlib.sha256(
         repr([e.key() for e in server.stream.events]).encode()
     ).hexdigest()
@@ -349,13 +328,9 @@ def server_report(cfg: ServerConfig) -> Dict:
             "sha256": stream_digest,
         },
         "latency": {
-            "mean_ttft_s": round(
-                sum(ttfts) / len(ttfts), 9
-            )
-            if ttfts
-            else 0.0,
-            "p50_ttft_s": round(_percentile(ttfts, 50.0), 9),
-            "p99_ttft_s": round(_percentile(ttfts, 99.0), 9),
+            "mean_ttft_s": round(stats.mean_ttft_s, 9),
+            "p50_ttft_s": ttft(50),
+            "p99_ttft_s": ttft(99),
         },
         "runtime": {
             "makespan_s": round(stats.makespan_s, 9),

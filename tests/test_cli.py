@@ -213,6 +213,49 @@ class TestServeCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["completed"] == 2
 
+    @pytest.mark.parametrize("trace, problem", [
+        ([{"request_id": 0, "arrival_s": 0.0, "prompt_len": 32}],
+         "0: missing field 'output_len'"),
+        ([{"request_id": 0, "arrival_s": 0.0, "prompt_len": 32,
+           "output_len": 8}, 7],
+         "1: expected an object, got int"),
+        ([{"request_id": 0, "arrival_s": 0.0, "prompt_len": 32,
+           "output_len": 8}] * 2,
+         "1: duplicate request_id 0"),
+        ([{"request_id": 0, "arrival_s": -1.0, "prompt_len": 32,
+           "output_len": 8}],
+         "0: arrival_s=-1.0 must be >= 0"),
+        ([{"request_id": 0, "arrival_s": 0.0, "prompt_len": -5,
+           "output_len": 8}],
+         "0: prompt_len=-5 must be >= 0"),
+        ([{"request_id": 0, "arrival_s": 0.0, "prompt_len": 32,
+           "output_len": 0}],
+         "0: output_len=0 must be >= 1"),
+        ([], "the trace must be a non-empty JSON list of requests"),
+    ], ids=["missing-field", "not-an-object", "duplicate-id",
+            "negative-arrival", "negative-prompt", "zero-output", "empty"])
+    def test_bad_trace_exits_2_naming_the_record(
+        self, capsys, tmp_path, trace, problem
+    ):
+        import json
+
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(trace))
+        rc = main(["serve", "--trace", str(path), "--json"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"serve: {problem}\n"
+
+    def test_kv_budget_reports_the_capped_pool(self, capsys):
+        import json
+
+        rc = main([
+            "serve", "--kv-cap-tokens", "2048", "--chunked-prefill",
+            "--preemption", "--json",
+        ])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["kv_budget_gb"] == pytest.approx(1.678, abs=1e-3)
+
     def test_sjf_policy(self, capsys):
         rc = main([
             "serve", "--model", "opt-13b", "--requests", "8",
@@ -287,6 +330,34 @@ class TestChaosCommand:
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
         assert report["scenario"]["plan"] == "gpu-crash"
+
+    @pytest.mark.parametrize("plan_name", ["gpu-crash", "flaky-link"])
+    def test_plan_file_is_read_once(
+        self, capsys, tmp_path, monkeypatch, plan_name
+    ):
+        """Every policy arm runs the plan loaded at the start of the
+        command, for the replica router and the disaggregated runtime."""
+        import builtins
+        import json
+
+        from repro.runtime import builtin_fault_plans
+
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(builtin_fault_plans()[plan_name].to_dict()))
+        reads = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            if str(file) == str(path):
+                reads.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        rc = main(["chaos", "--quick", "--json", "--plan-file", str(path)])
+        assert rc == 0
+        assert len(reads) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["scenario"]["plan"] == plan_name
 
     def test_plan_file_bad_key_rejected(self, capsys, tmp_path):
         import json

@@ -1,9 +1,9 @@
 """Content pins on the ``--json`` replays and on ``results/REPORT.md``.
 
-Each replay case builds the report string a ``repro ... --json``
-command prints (its stdout without the trailing newline) and checks its
-sha256.  CI's ``cmp`` of two runs proves a replay is deterministic;
-these digests prove it has not changed.
+Each replay case runs a ``repro ... --json`` command through
+:func:`repro.cli.main` and checks the sha256 of its stdout (without the
+trailing newline), so a replay that changes by one byte, or stops being
+deterministic, fails by name.
 
 The reproduction report is pinned by its bytes, one test per ``## ``
 section, against a fresh rendering of the session's registry run, so a
@@ -21,50 +21,37 @@ from pathlib import Path
 import pytest
 
 from repro.bench.report import render_report
-from repro.cli import EXPERIMENTS
-from repro.fleet import FleetConfig, fleet_report_json
-from repro.integrity import IntegrityConfig, integrity_report_json
-from repro.llm.chaos import ChaosConfig, chaos_report_json
-from repro.server import ServerConfig, server_report_json
+from repro.cli import EXPERIMENTS, main
 
+#: ``repro <command> --json`` -> sha256 of its stdout.
 REPLAYS = {
-    "fleet --quick": (
-        lambda: fleet_report_json(FleetConfig(quick=True)),
+    "fleet --quick":
         "436b0adcca869c0cd573395e6a73e6c4be320e82c5d9e4d34ffcc7def1834c4a",
-    ),
-    "fleet --quick --seed 1 --plan chaos-mix": (
-        lambda: fleet_report_json(
-            FleetConfig(quick=True, seed=1, fault_plan="chaos-mix")
-        ),
+    "fleet --quick --seed 1 --plan chaos-mix":
         "c3f18862471a89e15fc41f44ae0edeadc67ff795195a1395f8c70701e5cdcd28",
-    ),
-    "server --quick": (
-        lambda: server_report_json(ServerConfig().quick()),
+    "server --quick":
         "9b3de3174cac033d709aaa7e1d2080ee7062a843026b88519f30342117f0946b",
-    ),
-    "server --quick --plan gpu-crash": (
-        lambda: server_report_json(ServerConfig(fault_plan="gpu-crash").quick()),
+    "server --quick --plan gpu-crash":
         "4e6516e4967f0249edcc524147222a9ad0a9051ef29b65b39dcd9453888f144f",
-    ),
-    "chaos --quick --plan gpu-crash": (
-        lambda: chaos_report_json(ChaosConfig(plan="gpu-crash").quick()),
+    "chaos --quick --plan gpu-crash":
         "bd05df17f71aa47610e84562238612468e24c9f8f20987f17e13001c475ef13d",
-    ),
-    "chaos --quick --plan flaky-link": (
-        lambda: chaos_report_json(ChaosConfig(plan="flaky-link").quick()),
+    "chaos --quick --plan flaky-link":
         "484b8772f893bdc5a4009fafef7b9fd02408ef3eb758b148a84e5c2708535bf7",
-    ),
-    "integrity --quick": (
-        lambda: integrity_report_json(IntegrityConfig().quick()),
+    "integrity --quick":
         "8a1d4490c8f9d95651da8271af7785790e3670eea6486bad44216656fa7ace5f",
-    ),
+    "integrity --quick --plans sdc-replica":
+        "18212918a926945ec366379b110a9c93546fa4eae66a6c937b088d2e5798fe99",
+    "serve":
+        "bd684eb267469192d8f0cc9b0b06b6ecd9e16eeeae09e3c3a79f76dedb6044e4",
 }
 
 
 @pytest.mark.parametrize("command", sorted(REPLAYS))
-def test_replay_digest_is_pinned(command):
-    report, digest = REPLAYS[command]
-    assert hashlib.sha256(report().encode()).hexdigest() == digest
+def test_replay_digest_is_pinned(command, capsys):
+    assert main([*command.split(), "--json"]) == 0
+    stdout = capsys.readouterr().out
+    assert stdout.endswith("\n")
+    assert hashlib.sha256(stdout[:-1].encode()).hexdigest() == REPLAYS[command]
 
 
 REPORT = Path(__file__).resolve().parents[1] / "results" / "REPORT.md"

@@ -282,8 +282,8 @@ class TestTranslationValidation:
         assert runtime.makespan_s == pytest.approx(
             legacy.makespan_s, rel=0.01
         )
-        assert runtime.throughput_tokens_per_s == pytest.approx(
-            legacy.throughput_tokens_per_s, rel=0.01
+        assert runtime.goodput_tokens_per_s == pytest.approx(
+            legacy.goodput_tokens_per_s, rel=0.01
         )
 
 

@@ -53,6 +53,13 @@ class TestSessionRequest:
         with pytest.raises(ValueError, match="cached_tokens"):
             make_req(cached_tokens=-1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("arrival_s", -0.5), ("prompt_len", -5), ("output_len", 0),
+    ])
+    def test_negative_times_and_lengths_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field}={value} must be"):
+            make_req(**{field: value})
+
     def test_negative_priority_rejected(self):
         with pytest.raises(ValueError, match="priority"):
             make_req(priority=-1)
@@ -101,20 +108,6 @@ class TestTokenStream:
         loop.run()
         assert stream.flushes == 2
         assert [e.index for e in stream.for_request(0)] == [0, 1]
-
-    def test_subscriber_sees_sorted_batch(self):
-        loop = EventLoop()
-        seen = []
-        stream = TokenStream(subscriber=lambda e: seen.append(e.request_id))
-        loop.schedule_at(
-            1.0,
-            lambda: [
-                stream.push(loop, TokenEvent(1.0, 9, 0, "gpu0")),
-                stream.push(loop, TokenEvent(1.0, 4, 0, "gpu0")),
-            ],
-        )
-        loop.run()
-        assert seen == [4, 9]
 
 
 class TestServerPolicy:

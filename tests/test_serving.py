@@ -11,6 +11,7 @@ from repro.llm.serving import (
     compare_frameworks,
     poisson_workload,
 )
+from repro.runtime import RuntimeStats
 
 
 def small_workload(n=12, rate=2.0, output_len=32):
@@ -55,7 +56,7 @@ class TestSimulator:
         stats = make_sim().run(small_workload())
         assert stats.mean_latency_s > 0
         assert stats.latency_percentile(50) <= stats.latency_percentile(95)
-        assert stats.throughput_tokens_per_s > 0
+        assert stats.goodput_tokens_per_s > 0
 
     def test_batching_happens(self):
         """A burst of arrivals should be served concurrently."""
@@ -90,6 +91,15 @@ class TestSimulator:
             assert r.queue_s >= 0
             assert r.latency_s >= r.queue_s
 
+    def test_run_returns_auditable_runtime_stats(self):
+        """The simulator hands back the scheduler's own stats, so the
+        R005 conservation audit reads a serving run like a chaos run."""
+        from repro.analysis import lint_fault_outcome
+
+        stats = make_sim().run(small_workload())
+        assert isinstance(stats, RuntimeStats)
+        assert lint_fault_outcome(stats) == []
+
 
 class TestFrameworkComparison:
     def test_spinfer_beats_flash_llm_on_one_gpu(self):
@@ -101,8 +111,8 @@ class TestFrameworkComparison:
         assert "fastertransformer" not in results  # dense does not fit
         if "flash-llm" in results:
             assert (
-                results["spinfer"].throughput_tokens_per_s
-                > results["flash-llm"].throughput_tokens_per_s
+                results["spinfer"].goodput_tokens_per_s
+                > results["flash-llm"].goodput_tokens_per_s
             )
 
     def test_spinfer_kv_headroom_largest(self):
@@ -155,17 +165,12 @@ class TestSchedulingPolicies:
 
 class TestLatencyPercentile:
     def stats(self, latencies):
-        from repro.llm.serving import ServingStats
-
         completed = [
             Request(request_id=i, arrival_s=0.0, prompt_len=1,
                     output_len=1, start_s=0.0, finish_s=lat)
             for i, lat in enumerate(latencies)
         ]
-        return ServingStats(
-            completed=completed, makespan_s=max(latencies),
-            peak_batch=1, kv_budget_bytes=0.0,
-        )
+        return RuntimeStats(completed=completed, makespan_s=max(latencies))
 
     def test_nearest_rank_percentiles(self):
         s = self.stats([3.0, 1.0, 4.0, 2.0])
@@ -196,9 +201,6 @@ class TestLatencyPercentile:
             s.latency_percentile(-1)
 
     def test_no_completions_rejected(self):
-        from repro.llm.serving import ServingStats
-
-        empty = ServingStats(completed=[], makespan_s=0.0,
-                             peak_batch=0, kv_budget_bytes=0.0)
+        empty = RuntimeStats()
         with pytest.raises(ValueError):
             empty.latency_percentile(50)
