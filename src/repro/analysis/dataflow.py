@@ -102,13 +102,6 @@ class DefUse:
 
     # ---- queries -----------------------------------------------------------------
 
-    def unread_defs(self) -> List[int]:
-        """Def sites never read by any later instruction."""
-        return [
-            i for i, w in enumerate(self.writes)
-            if w is not None and i not in self.uses_of
-        ]
-
     def dead_writes(self) -> List[int]:
         """Defs overwritten before any read (classic dead stores).
 
@@ -132,34 +125,6 @@ class DefUse:
     def namespace_collisions(self) -> Set[str]:
         """Names used as both a data register and a predicate."""
         return self.names[DATA] & self.names[PRED]
-
-    def immediate_roots(self, index: int) -> Set[int]:
-        """Root def sites (``MOV`` immediate / ``S_REG``) feeding ``index``.
-
-        Walks the data-register def chains backwards from the
-        instruction's reads; the roots are the constant/special-register
-        sources its value ultimately derives from.
-        """
-        roots: Set[int] = set()
-        seen: Set[int] = set()
-        stack = [r.def_index for r in self.reads[index]
-                 if r.kind == DATA and r.def_index is not None]
-        while stack:
-            d = stack.pop()
-            if d in seen:
-                continue
-            seen.add(d)
-            instr = self.program.instructions[d]
-            if instr.opcode == "S_REG" or (
-                instr.opcode == "MOV" and not isinstance(instr.srcs[0], str)
-            ):
-                roots.add(d)
-                continue
-            stack.extend(
-                r.def_index for r in self.reads[d]
-                if r.kind == DATA and r.def_index is not None
-            )
-        return roots
 
     def masked_popcount_subjects(self) -> List[Tuple[int, Optional[int]]]:
         """Subject bitmap of every ``POPC`` (paper Algorithm 2 idiom).

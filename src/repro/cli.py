@@ -830,6 +830,28 @@ def _cmd_models(_args: argparse.Namespace) -> int:
     return 0
 
 
+def _ranged(kind: type, low: float, high: float, expected: str) -> Callable:
+    """An argparse ``type=`` that rejects a value outside [low, high]:
+    argparse then exits 2 with a one-line error naming the flag."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not low <= value <= high:
+            raise argparse.ArgumentTypeError(
+                f"expected {expected}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
+_sparsity = _ranged(float, 0.0, 1.0, "a sparsity in [0, 1]")
+_positive_int = _ranged(int, 1, float("inf"), "a positive integer")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -870,18 +892,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.set_defaults(func=_cmd_bench)
 
     p_prof = sub.add_parser("profile", help="profile SpMM kernels on a shape")
-    p_prof.add_argument("--m", type=int, required=True)
-    p_prof.add_argument("--k", type=int, required=True)
-    p_prof.add_argument("--n", type=int, default=16)
-    p_prof.add_argument("--sparsity", type=float, default=0.6)
+    p_prof.add_argument("--m", type=_positive_int, required=True)
+    p_prof.add_argument("--k", type=_positive_int, required=True)
+    p_prof.add_argument("--n", type=_positive_int, default=16)
+    p_prof.add_argument("--sparsity", type=_sparsity, default=0.6)
     p_prof.add_argument("--gpu", choices=sorted(GPUS), default="RTX4090")
     p_prof.add_argument("--kernels", nargs="*", choices=sorted(KERNELS))
     p_prof.set_defaults(func=_cmd_profile)
 
     p_enc = sub.add_parser("encode", help="encode a random matrix, report storage")
-    p_enc.add_argument("--m", type=int, default=4096)
-    p_enc.add_argument("--k", type=int, default=4096)
-    p_enc.add_argument("--sparsity", type=float, default=0.6)
+    p_enc.add_argument("--m", type=_positive_int, default=4096)
+    p_enc.add_argument("--k", type=_positive_int, default=4096)
+    p_enc.add_argument("--sparsity", type=_sparsity, default=0.6)
     p_enc.add_argument("--seed", type=int, default=0)
     p_enc.add_argument("--all-formats", action="store_true")
     p_enc.set_defaults(func=_cmd_encode)
@@ -890,8 +912,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--model", choices=sorted(MODELS), required=True)
     p_sim.add_argument("--framework", default="spinfer")
     p_sim.add_argument("--gpu", choices=sorted(GPUS), default="RTX4090")
-    p_sim.add_argument("--gpus", type=int, default=1)
-    p_sim.add_argument("--batch", type=int, default=8)
+    p_sim.add_argument("--gpus", type=_positive_int, default=1)
+    p_sim.add_argument("--batch", type=_positive_int, default=8)
     p_sim.add_argument("--prompt-len", type=int, default=64)
     p_sim.add_argument("--output-len", type=int, default=256)
     p_sim.add_argument("--sparsity", type=float, default=0.6)
@@ -1160,10 +1182,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.set_defaults(func=_cmd_report)
 
     p_disp = sub.add_parser("dispatch", help="pick the fastest kernel for a shape")
-    p_disp.add_argument("--m", type=int, required=True)
-    p_disp.add_argument("--k", type=int, required=True)
-    p_disp.add_argument("--n", type=int, default=16)
-    p_disp.add_argument("--sparsity", type=float, default=0.6)
+    p_disp.add_argument("--m", type=_positive_int, required=True)
+    p_disp.add_argument("--k", type=_positive_int, required=True)
+    p_disp.add_argument("--n", type=_positive_int, default=16)
+    p_disp.add_argument("--sparsity", type=_sparsity, default=0.6)
     p_disp.add_argument("--gpu", choices=sorted(GPUS), default="RTX4090")
     p_disp.add_argument("--block-occupancy", type=float, default=None)
     p_disp.add_argument("--dense-fallback", action="store_true",
@@ -1175,17 +1197,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_off.add_argument("--format", choices=("dense", "tca-bme"), default="tca-bme")
     p_off.add_argument("--sparsity", type=float, default=0.6)
     p_off.add_argument("--gpu", choices=sorted(GPUS), default="RTX4090")
-    p_off.add_argument("--batch", type=int, default=8)
+    p_off.add_argument("--batch", type=_positive_int, default=8)
     p_off.add_argument("--context", type=int, default=512)
     p_off.set_defaults(func=_cmd_offload)
 
     p_sweep = sub.add_parser("sweep", help="sweep kernels over an (N, sparsity) grid")
-    p_sweep.add_argument("--m", type=int, required=True)
-    p_sweep.add_argument("--k", type=int, required=True)
+    p_sweep.add_argument("--m", type=_positive_int, required=True)
+    p_sweep.add_argument("--k", type=_positive_int, required=True)
     p_sweep.add_argument("--kernels", nargs="+", choices=sorted(KERNELS),
                          default=["spinfer", "flash_llm", "cublas_tc"])
-    p_sweep.add_argument("--ns", nargs="+", type=int, default=[8, 16, 32])
-    p_sweep.add_argument("--sparsities", nargs="+", type=float,
+    p_sweep.add_argument("--ns", nargs="+", type=_positive_int,
+                         default=[8, 16, 32])
+    p_sweep.add_argument("--sparsities", nargs="+", type=_sparsity,
                          default=[0.4, 0.5, 0.6, 0.7])
     p_sweep.add_argument("--gpu", choices=sorted(GPUS), default="RTX4090")
     p_sweep.add_argument("--csv", default=None, help="also export rows as CSV")

@@ -17,7 +17,6 @@ from .bitmap import (
     masked_popcount,
     popcount64,
 )
-from .bitset_ops import mask_columns, pattern_density_per_tile, pattern_overlap
 from .mma_layout import (
     gather_a_fragments,
     gather_b_fragments,
@@ -34,9 +33,6 @@ from .tiles import DEFAULT_TILE_CONFIG, TileConfig
 __all__ = [
     "DEFAULT_TILE_CONFIG",
     "QuantizedTCABME",
-    "mask_columns",
-    "pattern_density_per_tile",
-    "pattern_overlap",
     "dequantize_values",
     "encode_reference",
     "quantize_values",

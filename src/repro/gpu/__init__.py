@@ -9,21 +9,7 @@ from .accelerators import (
 )
 from .cache import CacheStats, SetAssociativeCache, x_panel_dram_bytes
 from .calibration import CALIBRATIONS, KernelCalibration, get_calibration
-from .energy import EnergyEstimate, EnergyModel, kernel_energy
-from .instructions import (
-    ISSUE_THROUGHPUT,
-    InstructionMix,
-    flash_llm_instruction_mix,
-    spinfer_instruction_mix,
-)
-from .memory import (
-    BANK_WIDTH_BYTES,
-    NUM_BANKS,
-    bank_of,
-    count_bank_conflicts,
-    dram_transfer_seconds,
-    expected_random_scatter_replays,
-)
+from .memory import expected_random_scatter_replays
 from .occupancy import OccupancyResult, occupancy
 from .pipeline import PipelineConfig, PipelineTrace, TaskEvent, simulate_pipeline
 from .roofline import (
@@ -74,36 +60,24 @@ __all__ = [
     "CacheStats",
     "SetAssociativeCache",
     "x_panel_dram_bytes",
-    "ISSUE_THROUGHPUT",
-    "InstructionMix",
-    "flash_llm_instruction_mix",
-    "spinfer_instruction_mix",
-    "EnergyEstimate",
-    "EnergyModel",
-    "kernel_energy",
     "A6000",
     "H100_PCIE",
     "RTX3090",
-    "BANK_WIDTH_BYTES",
     "CALIBRATIONS",
     "GPUS",
     "GPUSpec",
     "KernelCalibration",
     "KernelProfile",
     "LaunchShape",
-    "NUM_BANKS",
     "OccupancyResult",
     "RTX4090",
     "RooflinePoint",
     "Traffic",
     "Work",
     "attainable_tflops",
-    "bank_of",
     "ci_gemm",
     "ci_optimal",
     "ci_spmm",
-    "count_bank_conflicts",
-    "dram_transfer_seconds",
     "expected_random_scatter_replays",
     "get_calibration",
     "get_gpu",

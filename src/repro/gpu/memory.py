@@ -1,63 +1,24 @@
-"""Shared-memory bank model and DRAM transfer pricing.
+"""Expected shared-memory bank replays of a random scatter.
 
 NVIDIA shared memory is organised as 32 banks of 4-byte words; a warp
 access that maps several lanes to *different words of the same bank* is
 replayed once per extra word.  SpInfer's SMBD reads the compressed value
 stream coalesced (conflict-free), whereas Flash-LLM's unpack *writes*
 each non-zero to its decompressed location — effectively a random scatter
-— and eats replays (paper Fig. 12).  The functions here count replays
-exactly for a concrete address set and in expectation for random scatter.
+— and eats replays (paper Fig. 12).  The exact replay count of a concrete
+address set is :func:`repro.gpu.warp_sim.bank_conflict_replays`; this
+module gives the expectation for random scatter.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-__all__ = [
-    "NUM_BANKS",
-    "BANK_WIDTH_BYTES",
-    "bank_of",
-    "count_bank_conflicts",
-    "expected_random_scatter_replays",
-    "dram_transfer_seconds",
-]
-
-NUM_BANKS = 32
-BANK_WIDTH_BYTES = 4
-
-
-def bank_of(byte_address: int) -> int:
-    """Shared-memory bank serving a byte address."""
-    if byte_address < 0:
-        raise ValueError("address must be non-negative")
-    return (byte_address // BANK_WIDTH_BYTES) % NUM_BANKS
-
-
-def count_bank_conflicts(byte_addresses: Sequence[int]) -> int:
-    """Replays for one warp access to the given per-lane byte addresses.
-
-    Lanes hitting the *same 4-byte word* broadcast (no conflict); lanes
-    hitting different words of one bank serialise.  The returned count is
-    the number of extra cycles (replays) beyond the first access:
-    ``max_over_banks(distinct words in bank) - 1``.
-    """
-    addrs = np.asarray(byte_addresses, dtype=np.int64)
-    if addrs.size == 0:
-        return 0
-    if np.any(addrs < 0):
-        raise ValueError("addresses must be non-negative")
-    words = addrs // BANK_WIDTH_BYTES
-    banks = words % NUM_BANKS
-    worst = 0
-    for b in np.unique(banks):
-        worst = max(worst, len(np.unique(words[banks == b])))
-    return worst - 1
+__all__ = ["expected_random_scatter_replays"]
 
 
 def expected_random_scatter_replays(
-    lanes: int = 32, banks: int = NUM_BANKS, samples: int = 2048, seed: int = 0
+    lanes: int = 32, banks: int = 32, samples: int = 2048, seed: int = 0
 ) -> float:
     """Expected replays when each lane writes a uniformly random word.
 
@@ -73,14 +34,3 @@ def expected_random_scatter_replays(
     rows = np.repeat(np.arange(samples), lanes)
     np.add.at(counts, (rows, draws.reshape(-1)), 1)
     return float(np.mean(counts.max(axis=1) - 1))
-
-
-def dram_transfer_seconds(
-    num_bytes: float, bandwidth_bytes_per_s: float, efficiency: float = 1.0
-) -> float:
-    """Time to move ``num_bytes`` at the given efficiency of peak bandwidth."""
-    if bandwidth_bytes_per_s <= 0:
-        raise ValueError("bandwidth must be positive")
-    if not 0 < efficiency <= 1:
-        raise ValueError(f"efficiency must be in (0, 1], got {efficiency}")
-    return num_bytes / (bandwidth_bytes_per_s * efficiency)

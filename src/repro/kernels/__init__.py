@@ -11,23 +11,16 @@ from .base import SpMMKernel, SpMMProblem, choose_split_k
 from .cublas import CuBLASKernel
 from .cusparse import CuSparseKernel
 from .dispatch import DispatchDecision, KernelDispatcher
-from .dynamic import ActivationSliceMask, DynamicSpInferKernel, relu_sparsify
 from .flash_llm import FlashLLMKernel
-from .parallel_spmm import column_parallel_spmm, row_parallel_spmm
 from .smat import SMaTKernel
 from .sparta_kernel import SparTAKernel
 from .spinfer import SpInferKernel
 from .sputnik import SputnikKernel
 
 __all__ = [
-    "ActivationSliceMask",
-    "DynamicSpInferKernel",
     "KERNELS",
-    "relu_sparsify",
     "DispatchDecision",
     "KernelDispatcher",
-    "column_parallel_spmm",
-    "row_parallel_spmm",
     "CuBLASKernel",
     "CuSparseKernel",
     "FlashLLMKernel",

@@ -6,11 +6,11 @@ standard closed form.  This module implements the algorithms themselves
 all-reduce, all-gather and reduce-scatter — moving real numpy buffers
 between simulated ranks step by step, plus a per-step timing model.
 
-Two uses: tests verify the closed form in ``parallel.py`` against the
-stepwise schedule (they must agree, since FasterTransformer's NCCL rings
-are what the paper's multi-GPU numbers run on), and the serving/
-inference simulators can swap algorithms (rings win for large payloads,
-trees for tiny decode-step activations on latency-bound PCIe).
+Its role is the stepwise reference for
+:func:`repro.llm.parallel.allreduce_seconds`: tests check that closed
+form against the ring schedule here (they must agree, since
+FasterTransformer's NCCL rings are what the paper's multi-GPU numbers
+run on).  The simulators price communication with the closed form only.
 """
 
 from __future__ import annotations

@@ -78,19 +78,12 @@ class KVBlockAllocator:
     def needs_block(self, seq_id: int) -> bool:
         """Whether the NEXT ``append_token`` would consume a free block
         (a fresh tail block, or a copy-on-write duplicate of a shared
-        tail).  The serving runtime's preemption logic asks this before
-        committing a decode iteration."""
+        tail).  The serving scheduler asks this when it sizes a prefill
+        chunk and before it commits a decode iteration."""
         alloc = self._get(seq_id)
         if alloc.tokens + 1 > len(alloc.block_ids) * self.block_size:
             return True
         return self._refcount[alloc.block_ids[-1]] > 1
-
-    @property
-    def tokens_in_use(self) -> int:
-        """Stored tokens across every sequence (not slot capacity)."""
-        return sum(
-            self._sequences[sid].tokens for sid in sorted(self._sequences)
-        )
 
     # ---- allocation -----------------------------------------------------------------
 

@@ -7,12 +7,6 @@ kernels and the end-to-end simulator, replacing the WikiText-calibrated
 checkpoints the paper pruned.
 """
 
-from .analysis import (
-    SparsityProfile,
-    analyze_matrix,
-    bitmaptile_occupancy_histogram,
-    grouptile_load_imbalance,
-)
 from .magnitude import magnitude_mask, magnitude_prune
 from .patterns import (
     apply_mask,
@@ -27,11 +21,7 @@ from .sparsegpt import hessian_inverse, sparsegpt_prune
 from .wanda import synthetic_activations, wanda_mask, wanda_prune, wanda_scores
 
 __all__ = [
-    "SparsityProfile",
-    "analyze_matrix",
     "apply_mask",
-    "bitmaptile_occupancy_histogram",
-    "grouptile_load_imbalance",
     "banded_mask",
     "block_occupancy",
     "clustered_mask",

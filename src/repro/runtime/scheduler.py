@@ -473,7 +473,8 @@ class ContinuousBatchingScheduler:
         if cached:
             info["cached"] = cached
         self.trace.record(
-            t, EventKind.ADMIT, seq.seq_id, self.pool.name, **info
+            self._loop.now, EventKind.ADMIT, seq.seq_id, self.pool.name,
+            **info,
         )
         return seq, cost
 
@@ -487,13 +488,13 @@ class ContinuousBatchingScheduler:
             key=lambda s: (self._policy._key(s.req), s.admit_order),
         )
 
-    def _preempt(self, seq: SeqState, t: float) -> int:
+    def _preempt(self, seq: SeqState) -> int:
         freed = self.pool.allocator.free(seq.seq_id)
         self._running.remove(seq)
         self._committed_blocks -= seq.reserved_blocks
         self.stats.preemptions += 1
         self.trace.record(
-            t, EventKind.PREEMPT, seq.seq_id, self.pool.name,
+            self._loop.now, EventKind.PREEMPT, seq.seq_id, self.pool.name,
             freed_blocks=freed, generated=seq.req.generated,
         )
         # Recompute discipline: the request re-queues and, when
@@ -506,29 +507,29 @@ class ContinuousBatchingScheduler:
         alloc = self.pool.allocator.sequence(seq.seq_id)
         return len(alloc.block_ids) * self.pool.block_size - alloc.tokens
 
-    def _fit_prefill_tokens(self, seq: SeqState, want: int, t: float) -> int:
+    def _fit_prefill_tokens(self, seq: SeqState, want: int) -> int:
         """How many prefill tokens fit right now, preempting if allowed."""
         alloc = self.pool.allocator
-        capacity = (
-            alloc.free_blocks * self.pool.block_size + self._tail_slack(seq)
-        )
+        slack = self._tail_slack(seq)
+        free = alloc.free_blocks
+        if slack and alloc.needs_block(seq.seq_id):
+            free -= 1  # the first append copies the shared tail block
+        capacity = free * self.pool.block_size + slack
         while capacity < want and self.preemption:
             victim = self._victim(exclude=seq)
             if victim is None:
                 break
-            capacity += self._preempt(victim, t) * self.pool.block_size
+            capacity += self._preempt(victim) * self.pool.block_size
         return min(want, capacity)
 
     def _ensure_decode_capacity(
-        self, decoders: List[SeqState], t: float
+        self, decoders: List[SeqState]
     ) -> List[SeqState]:
         """Guarantee one-token appends for the decode batch, shedding
         the lowest-priority sequences when the pool is dry."""
         alloc = self.pool.allocator
         while True:
-            needed = sum(
-                1 for s in decoders if self._tail_slack(s) == 0
-            )
+            needed = sum(1 for s in decoders if alloc.needs_block(s.seq_id))
             if alloc.free_blocks >= needed:
                 return decoders
             if not self.preemption:
@@ -543,19 +544,22 @@ class ContinuousBatchingScheduler:
                     "KV pool dry with a single running sequence — the "
                     "pool cannot hold even one worst-case request"
                 )
-            self._preempt(victim, t)
+            self._preempt(victim)
             decoders = [s for s in decoders if s in self._running]
 
     def _start_iteration(self) -> None:
         loop = self._loop
         t0 = loop.now
-        t = t0  # advances past blocking prefills within the iteration
+        t = t0  # modelled start: advances past blocking prefills
         alloc = self.pool.allocator
 
-        # Admission: fill the batch while slots and KV admit.  Blocking
-        # prefills advance the local clock, so requests arriving DURING
-        # a prefill are admissible in the same iteration (the legacy
-        # loop's behaviour, preserved for translation validation).
+        # Admission: fill the batch while slots and KV admit.  Each
+        # blocking prefill delays the modelled start (``start_s`` and the
+        # ADMIT record's ``queue_s``) of the admissions after it, but
+        # every trace event is stamped at ``t0``, the decision time.
+        # ``submit`` runs at a request's arrival, so a request arriving
+        # during these prefills is not queued yet and waits for the next
+        # iteration.
         while len(self._running) < self.pool.max_batch:
             head = self._policy.peek_ready(t)
             if head is None or not self._admissible(head):
@@ -578,9 +582,7 @@ class ContinuousBatchingScheduler:
                 remaining = seq.prefill_target - seq.prefill_done
                 if remaining <= 0:
                     continue
-                take = self._fit_prefill_tokens(
-                    seq, min(budget, remaining), t
-                )
+                take = self._fit_prefill_tokens(seq, min(budget, remaining))
                 if take <= 0:
                     continue
                 for _ in range(take):
@@ -589,7 +591,7 @@ class ContinuousBatchingScheduler:
                 budget -= take
                 chunk_done += take
                 self.trace.record(
-                    t, EventKind.PREFILL_CHUNK, seq.seq_id, self.pool.name,
+                    t0, EventKind.PREFILL_CHUNK, seq.seq_id, self.pool.name,
                     tokens=take,
                     remaining=seq.prefill_target - seq.prefill_done,
                 )
@@ -604,7 +606,7 @@ class ContinuousBatchingScheduler:
         decoders = [s for s in self._running if s.decoding]
         decode_time = 0.0
         if decoders:
-            decoders = self._ensure_decode_capacity(decoders, t)
+            decoders = self._ensure_decode_capacity(decoders)
         self._iter_corrupt = False
         if decoders and self._sdc_frac > 0.0:
             # Per-iteration corruption draw, a pure hash keyed on a
@@ -629,7 +631,7 @@ class ContinuousBatchingScheduler:
                 self.stats.verification_s += check_s
             self.stats.decode_breakdown.add(step)
             self.trace.record(
-                t, EventKind.DECODE_STEP, None, self.pool.name,
+                t0, EventKind.DECODE_STEP, None, self.pool.name,
                 batch=len(decoders), avg_context=avg_context,
                 step_s=decode_time,
             )
@@ -905,7 +907,7 @@ class ContinuousBatchingScheduler:
                 self.pool.name, source="kv_tag",
                 tokens=alloc.sequence(seq.seq_id).tokens,
             )
-            self._preempt(seq, now)
+            self._preempt(seq)
             if self.router is not None:
                 self.router.on_corruption_detected(self)
                 if self.failed:

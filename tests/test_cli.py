@@ -22,6 +22,40 @@ class TestParser:
         }
         assert expected == set(EXPERIMENTS)
 
+    @pytest.mark.parametrize("argv, flag", [
+        pytest.param(
+            ["encode", "--m", "512", "--k", "512", "--sparsity", "-0.2"],
+            "--sparsity", id="encode-negative-sparsity",
+        ),
+        pytest.param(
+            ["offload", "--model", "opt-66b", "--batch", "0"],
+            "--batch", id="offload-zero-batch",
+        ),
+        pytest.param(
+            ["profile", "--m", "512", "--k", "512", "--sparsity", "1.5"],
+            "--sparsity", id="profile-sparsity-above-one",
+        ),
+        pytest.param(
+            ["dispatch", "--m", "512", "--k", "512", "--sparsity", "2"],
+            "--sparsity", id="dispatch-sparsity-above-one",
+        ),
+        pytest.param(
+            ["sweep", "--m", "512", "--k", "512", "--ns", "0"],
+            "--ns", id="sweep-zero-n",
+        ),
+        pytest.param(
+            ["simulate", "--model", "opt-13b", "--batch", "0"],
+            "--batch", id="simulate-zero-batch",
+        ),
+    ])
+    def test_out_of_range_number_exits_2(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected" in err
+        assert "Traceback" not in err
+
 
 class TestBenchCommand:
     def test_single_experiment(self, capsys, tmp_path, monkeypatch):
@@ -179,19 +213,32 @@ class TestServeCommand:
         assert payload["p99_latency_s"] > 0
         assert payload["preemptions"] == 0
 
-    def test_chunked_preemption_with_audit(self, capsys):
+    @pytest.mark.parametrize("argv", [
+        pytest.param([
+            "--model", "opt-13b", "--requests", "16", "--arrival-rate", "4",
+            "--prompt-len", "96", "--output-lens", "32", "128", "384",
+            "--max-batch", "4", "--kv-cap-tokens", "2048",
+            "--chunked-prefill", "--preemption",
+        ], id="chunked-preemption"),
+        pytest.param([
+            "--model", "opt-13b", "--policy", "sjf", "--requests", "16",
+            "--arrival-rate", "4", "--max-batch", "8",
+        ], id="sjf-blocking"),
+        pytest.param([
+            "--requests", "16", "--arrival-rate", "4", "--max-batch", "8",
+            "--preemption", "--kv-cap-tokens", "1024",
+        ], id="blocking-preemption"),
+    ])
+    def test_chunked_preemption_with_audit(self, capsys, argv):
+        """The serving smoke gate: each run completes all 16 requests
+        and its trace passes the runtime audit (R rules, including the
+        causal time order of blocking-prefill iterations)."""
         import json
 
-        rc = main([
-            "serve", "--model", "opt-13b", "--requests", "12",
-            "--arrival-rate", "4", "--prompt-len", "96",
-            "--output-lens", "32", "128", "384", "--max-batch", "4",
-            "--kv-cap-tokens", "2048", "--chunked-prefill", "--preemption",
-            "--audit", "--json",
-        ])
+        rc = main(["serve", *argv, "--audit", "--json"])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["completed"] == 12
+        assert payload["completed"] == 16
         assert payload["audit"]["errors"] == 0
         assert payload["audit"]["snapshots"] > 0
 

@@ -1,58 +1,6 @@
-"""Tests for the shared-memory bank model and DRAM pricing."""
+"""Tests for the expected bank replays of a random shared-memory scatter."""
 
-import pytest
-
-from repro.gpu.memory import (
-    BANK_WIDTH_BYTES,
-    NUM_BANKS,
-    bank_of,
-    count_bank_conflicts,
-    dram_transfer_seconds,
-    expected_random_scatter_replays,
-)
-
-
-class TestBankMapping:
-    def test_word_granularity(self):
-        assert bank_of(0) == 0
-        assert bank_of(3) == 0  # same 4-byte word
-        assert bank_of(4) == 1
-
-    def test_wraparound(self):
-        assert bank_of(NUM_BANKS * BANK_WIDTH_BYTES) == 0
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            bank_of(-4)
-
-
-class TestConflictCounting:
-    def test_empty_access(self):
-        assert count_bank_conflicts([]) == 0
-
-    def test_conflict_free_stride_4(self):
-        addrs = [lane * 4 for lane in range(32)]
-        assert count_bank_conflicts(addrs) == 0
-
-    def test_broadcast_is_free(self):
-        assert count_bank_conflicts([16] * 32) == 0
-
-    def test_same_word_different_bytes_is_free(self):
-        # fp16 pairs inside one 32-bit word broadcast.
-        assert count_bank_conflicts([0, 2] * 16) == 0
-
-    def test_stride_128_worst_case(self):
-        # All 32 lanes hit bank 0 with distinct words: 31 replays.
-        addrs = [lane * NUM_BANKS * BANK_WIDTH_BYTES for lane in range(32)]
-        assert count_bank_conflicts(addrs) == 31
-
-    def test_two_way_conflict(self):
-        addrs = [0, 128, 4, 8, 12]  # lanes 0 and 1 share bank 0
-        assert count_bank_conflicts(addrs) == 1
-
-    def test_rejects_negative_addresses(self):
-        with pytest.raises(ValueError):
-            count_bank_conflicts([-1])
+from repro.gpu.memory import expected_random_scatter_replays
 
 
 class TestScatterReplays:
@@ -71,19 +19,3 @@ class TestScatterReplays:
         wide = expected_random_scatter_replays(banks=128, samples=1024)
         narrow = expected_random_scatter_replays(banks=8, samples=1024)
         assert wide < narrow
-
-
-class TestDramTransfer:
-    def test_basic(self):
-        assert dram_transfer_seconds(1e9, 1e9) == pytest.approx(1.0)
-
-    def test_efficiency(self):
-        assert dram_transfer_seconds(1e9, 1e9, 0.5) == pytest.approx(2.0)
-
-    def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            dram_transfer_seconds(1.0, 0.0)
-        with pytest.raises(ValueError):
-            dram_transfer_seconds(1.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            dram_transfer_seconds(1.0, 1.0, 1.5)

@@ -13,9 +13,11 @@ from repro.llm.serving import (
     mixed_workload,
 )
 from repro.runtime import (
+    ContinuousBatchingScheduler,
     EventKind,
     EventLoop,
     FCFSPolicy,
+    GPUPool,
     SJFPolicy,
     get_policy,
 )
@@ -266,6 +268,33 @@ class TestChunkedPrefill:
         assert len(blocking.completed) == len(chunked.completed) == 48
         assert chunked.ttft_percentile(99) < blocking.ttft_percentile(99)
         assert chunked.latency_percentile(99) < blocking.latency_percentile(99)
+
+    def test_prefix_fork_counts_its_copy_on_write_block(self):
+        """A forked session prefix whose partial tail block is shared
+        needs one extra block for the copy-on-write on its first append.
+        Chunk sizing and decode capacity must count it, or the scheduler
+        decides tokens fit and ``append_token`` runs out of blocks."""
+        sim = make_sim(max_batch=8)
+        pool = GPUPool(
+            engine=sim.engine, kv_budget_bytes=sim.kv_budget,
+            block_size=16, total_blocks=6,
+        )
+        sched = ContinuousBatchingScheduler(
+            pool, prefill_mode="chunked", chunk_tokens=32, preemption=True,
+        )
+        prefix = 100
+        pool.allocator.allocate(prefix, 40, owner="session:0")
+        sched.prefix_source = (
+            lambda req: (prefix, 40) if req.session_id == 0 else None
+        )
+        stats = sched.run([
+            Request(0, 0.0, 16, 8),
+            Request(1, 0.0, 60, 4, session_id=0, turn=1),
+        ])
+        assert sorted(r.request_id for r in stats.completed) == [0, 1]
+        assert stats.cached_prefill_tokens >= 40
+        # Only the session prefix is still resident.
+        assert pool.allocator.used_blocks == 3
 
 
 class TestTranslationValidation:

@@ -12,7 +12,12 @@ from repro.gpu.smbd_program import (
     build_two_phase_decode,
     run_bitmaptile_decode,
 )
-from repro.gpu.warp_sim import Instr, WarpProgram, WarpSimulator
+from repro.gpu.warp_sim import (
+    Instr,
+    WarpProgram,
+    WarpSimulator,
+    bank_conflict_replays,
+)
 
 
 class TestInterpreter:
@@ -104,6 +109,24 @@ class TestInterpreter:
         t_chain = WarpSimulator().run(chain).cycles
         t_par = WarpSimulator().run(parallel).cycles
         assert t_chain > t_par
+
+
+class TestBankConflictReplays:
+    @pytest.mark.parametrize("addrs, replays", [
+        pytest.param([], 0, id="empty"),
+        pytest.param([lane * 4 for lane in range(32)], 0, id="stride-4"),
+        pytest.param([16] * 32, 0, id="broadcast"),
+        # fp16 pairs inside one 32-bit word broadcast.
+        pytest.param([0, 2] * 16, 0, id="same-word"),
+        # All 32 lanes hit bank 0 with distinct words.
+        pytest.param([lane * 128 for lane in range(32)], 31, id="stride-128"),
+        # Lanes 0 and 1 share bank 0.
+        pytest.param([0, 128, 4, 8, 12], 1, id="two-way"),
+    ])
+    def test_replays(self, addrs, replays):
+        addrs = np.array(addrs, dtype=np.int64)
+        active = np.ones(addrs.size, dtype=bool)
+        assert bank_conflict_replays(addrs, active) == replays
 
 
 def _tile_case(seed, sparsity=0.5):
