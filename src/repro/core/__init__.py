@@ -26,7 +26,7 @@ from .mma_layout import (
 )
 from .quant import QuantizedTCABME, dequantize_values, quantize_values
 from .reference import encode_reference
-from .smbd import DecodeStats, decode_group, decode_group_fast, decode_tctile
+from .smbd import DecodeStats, decode_group, decode_tctile
 from .tca_bme import TCABMEMatrix, encode, tca_bme_storage_bytes
 from .tiles import DEFAULT_TILE_CONFIG, TileConfig
 
@@ -42,7 +42,6 @@ __all__ = [
     "bitmap_from_block",
     "block_mask_from_bitmap",
     "decode_group",
-    "decode_group_fast",
     "decode_tctile",
     "encode",
     "gather_a_fragments",

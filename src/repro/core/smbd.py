@@ -14,18 +14,21 @@ Decoding is two-phase per 32-bit register: phase I resolves the even bit
 by *reusing* phase I's count (incremented if ``a0`` was present), so only
 one MaskedPopCount is spent per lane per register.
 
-Four implementations are provided, two lane-faithful references and two
-vectorised production paths:
+Three implementations are provided, the lane-faithful reference and two
+vectorised paths:
 
 :func:`decode_tctile` / :func:`decode_group`
-    Lane-faithful references: iterate lanes exactly as a warp would,
+    Lane-faithful reference: iterate lanes exactly as a warp would,
     counting every PopCount / MaskedPopCount / shared-memory load.  Used
     by tests and by the instruction-level simulator.
 
-:func:`decode_group_fast` / :func:`decode_matrix`
-    Vectorised decodes (one GroupTile / the whole matrix); bit-identical
-    output, orders of magnitude faster in numpy.  :func:`decode_matrix`
-    is what the functional SpMM kernel batches its gathers through.
+:func:`decode_matrix`
+    Whole-matrix decode into dense fp32 GroupTiles; bit-identical values,
+    orders of magnitude faster in numpy.  Like the kernel it keeps no
+    per-value index: the set-bit positions of the bitmaps, mapped through
+    geometry-only tables, place every value with one scatter.  The
+    functional SpInfer kernel and ``TCABMEMatrix.to_dense`` decode through
+    it.
 
 :func:`decode_group_frags`
     Vectorised fragment decode: same ``(32, 4, 2)`` mma fragments as
@@ -37,6 +40,7 @@ vectorised production paths:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -49,7 +53,6 @@ __all__ = [
     "DecodeStats",
     "decode_tctile",
     "decode_group",
-    "decode_group_fast",
     "decode_group_frags",
     "decode_matrix",
 ]
@@ -163,43 +166,6 @@ def decode_group(
     return out
 
 
-def decode_group_fast(
-    group_bitmaps: np.ndarray,
-    group_values: np.ndarray,
-    config: TileConfig = DEFAULT_TILE_CONFIG,
-) -> Tuple[np.ndarray, DecodeStats]:
-    """Vectorised GroupTile decode to a dense ``(gt_h, gt_w)`` tile.
-
-    Produces the same dense tile as scattering :func:`decode_group`'s
-    fragments, but via one boolean scatter.  The returned stats mirror the
-    instruction counts the lane-faithful path would have charged (they are
-    closed-form functions of the tile geometry and population).
-    """
-    group_bitmaps = np.asarray(group_bitmaps, dtype=np.uint64)
-    mask = expand_bitmap_rows(group_bitmaps)  # (nbt, 64)
-    rows = np.zeros(mask.shape, dtype=np.float16)
-    rows[mask] = np.asarray(group_values, dtype=np.float16)
-
-    # Reassemble storage-order BitmapTiles into the dense GroupTile.
-    c = config
-    tr, tc = c.gt_h // c.tt_h, c.gt_w // c.tt_w
-    br, bc = c.tt_h // c.bt_h, c.tt_w // c.bt_w
-    x = rows.reshape(tc, tr, bc, br, c.bt_h, c.bt_w)
-    x = x.transpose(1, 3, 4, 0, 2, 5)  # -> (tr, br, r, tc, bc, c)
-    dense = x.reshape(c.gt_h, c.gt_w)
-
-    nbt = group_bitmaps.size
-    nnz = int(mask.sum())
-    stats = DecodeStats(
-        popcount_ops=nbt,
-        masked_popcount_ops=nbt * WARP_SIZE,
-        shared_loads=nnz,
-        values_decoded=nnz,
-        zeros_filled=nbt * 64 - nnz,
-    )
-    return dense, stats
-
-
 def _closed_form_stats(num_bitmaps: int, nnz: int) -> DecodeStats:
     """The instruction counts the lane-faithful path would have charged."""
     return DecodeStats(
@@ -245,6 +211,21 @@ def decode_group_frags(
     return np.ascontiguousarray(frags), _closed_form_stats(nbt, int(flat.sum()))
 
 
+@lru_cache(maxsize=32)
+def _slot_tables(num_groups: int, config: TileConfig) -> Tuple[np.ndarray, np.ndarray]:
+    """Where each stored bit lands in a stack of ``num_groups`` GroupTiles.
+
+    Bit ``b`` of the ``t``-th BitmapTile in storage order belongs at flat
+    offset ``origin[t] + offset[b]`` of the row-major
+    ``(num_groups, gt_h, gt_w)`` stack.  Pure geometry: the same for every
+    matrix with this many GroupTiles, whatever its bitmaps.
+    """
+    c = config
+    slots = c.storage_rows(np.arange(c.gt_h * c.gt_w).reshape(c.gt_h, c.gt_w))
+    origin = np.arange(num_groups)[:, None] * slots.size + slots[:, 0]
+    return origin.reshape(-1), slots[0] - slots[0, 0]
+
+
 def decode_matrix(
     bitmaps: np.ndarray,
     values: np.ndarray,
@@ -254,13 +235,16 @@ def decode_matrix(
 ) -> Tuple[np.ndarray, DecodeStats]:
     """Batched SMBD decode of every GroupTile of an encoded matrix.
 
-    Returns ``(GR, GC, gt_h, gt_w)`` float16 dense GroupTiles — the same
-    tiles :func:`decode_group_fast` yields one at a time — via a single
-    boolean scatter and one reshape/transpose, with no Python loop over
-    the ``iter_group_tiles`` walk.  ``GR x GC`` is the GroupTile grid of
-    the padded matrix.
+    Returns ``(GR, GC, gt_h, gt_w)`` float32 dense GroupTiles holding the
+    fp16-rounded values, ``GR x GC`` being the GroupTile grid of the
+    padded matrix.  The ``i``-th set bit in storage order holds the
+    ``i``-th value, so the set-bit positions alone, mapped through
+    :func:`_slot_tables`, give every value its slot: one integer-index
+    scatter, no Python loop, no per-matrix state.  Raises ``ValueError``
+    unless there is exactly one value per set bit.
     """
     bitmaps = np.asarray(bitmaps, dtype=np.uint64)
+    values = np.asarray(values, dtype=np.float16)
     c = config
     gr, gc = c.group_grid(m, k)
     if bitmaps.size != gr * gc * c.bts_per_gt:
@@ -268,14 +252,17 @@ def decode_matrix(
             f"expected {gr * gc * c.bts_per_gt} bitmaps for a "
             f"{m}x{k} matrix, got {bitmaps.size}"
         )
-    mask = expand_bitmap_rows(bitmaps)  # (NBT, 64) in storage order
-    rows = np.zeros(mask.shape, dtype=np.float16)
-    rows[mask] = np.asarray(values, dtype=np.float16)
-
-    tr, tc = c.gt_h // c.tt_h, c.gt_w // c.tt_w
-    br, bc = c.tt_h // c.bt_h, c.tt_w // c.bt_w
-    x = rows.reshape(gr, gc, tc, tr, bc, br, c.bt_h, c.bt_w)
-    # -> (GR, GC, tr, br, bit_row, tc, bc, bit_col)
-    x = x.transpose(0, 1, 3, 5, 6, 2, 4, 7)
-    tiles = x.reshape(gr, gc, c.gt_h, c.gt_w)
-    return tiles, _closed_form_stats(int(bitmaps.size), int(mask.sum()))
+    bits = np.flatnonzero(expand_bitmap_rows(bitmaps))  # in storage order
+    if bits.size != values.size:
+        raise ValueError(
+            f"bitmap population {bits.size} != value count {values.size}"
+        )
+    origin, offset = _slot_tables(gr * gc, c)
+    # 64 bits per bitmap: bits >> 6 is the BitmapTile, bits & 63 the bit
+    # (taken in place, to hold one fewer index array at a time).
+    slots = origin[bits >> 6]
+    bits &= 63
+    slots += offset[bits]
+    tiles = np.zeros((gr, gc, c.gt_h, c.gt_w), dtype=np.float32)
+    tiles.reshape(-1)[slots] = values.astype(np.float32)
+    return tiles, _closed_form_stats(int(bitmaps.size), int(values.size))

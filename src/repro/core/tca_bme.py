@@ -32,46 +32,14 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .bitmap import expand_bitmap_rows, pack_bitmap_rows
+from .bitmap import pack_bitmap_rows
+from .smbd import decode_matrix
 from .tiles import DEFAULT_TILE_CONFIG, TileConfig
 
 __all__ = ["TCABMEMatrix", "encode", "tca_bme_storage_bytes"]
 
 #: Elements per 8-byte LDGSTS alignment boundary (FP16 values).
 _ALIGN_ELEMS = 4
-
-
-def _storage_order_view(padded: np.ndarray, config: TileConfig) -> np.ndarray:
-    """Rearrange a padded matrix into ``(NBT, 64)`` storage-order rows.
-
-    Row ``i`` holds the 64 elements of the ``i``-th BitmapTile in storage
-    order; within a row, elements appear in bit order.  The transform is a
-    pure reshape/transpose, so it is its own inverse (see
-    :func:`_storage_order_inverse`).
-    """
-    pm, pk = padded.shape
-    c = config
-    gr, gc = pm // c.gt_h, pk // c.gt_w
-    tr, tc = c.gt_h // c.tt_h, c.gt_w // c.tt_w
-    br, bc = c.tt_h // c.bt_h, c.tt_w // c.bt_w
-    # (GR, gt_h, GC, gt_w) with gt_h = TR*br*8, gt_w = TC*bc*8
-    x = padded.reshape(gr, tr, br, c.bt_h, gc, tc, bc, c.bt_w)
-    # target order: GR, GC, TC, TR, bc, br, r, c
-    x = x.transpose(0, 4, 5, 1, 6, 2, 3, 7)
-    return x.reshape(-1, c.bt_h * c.bt_w)
-
-
-def _storage_order_inverse(
-    rows: np.ndarray, pm: int, pk: int, config: TileConfig
-) -> np.ndarray:
-    """Inverse of :func:`_storage_order_view`: rows back to a padded matrix."""
-    c = config
-    gr, gc = pm // c.gt_h, pk // c.gt_w
-    tr, tc = c.gt_h // c.tt_h, c.gt_w // c.tt_w
-    br, bc = c.tt_h // c.bt_h, c.tt_w // c.bt_w
-    x = rows.reshape(gr, gc, tc, tr, bc, br, c.bt_h, c.bt_w)
-    x = x.transpose(0, 3, 5, 6, 1, 2, 4, 7)
-    return x.reshape(pm, pk)
 
 
 def tca_bme_storage_bytes(
@@ -243,12 +211,12 @@ class TCABMEMatrix:
 
     def to_dense(self) -> np.ndarray:
         """Decode back to a dense ``float16`` matrix (exact round trip)."""
-        c = self.config
-        pm, pk = c.padded_shape(self.m, self.k)
-        mask = expand_bitmap_rows(self.bitmaps)
-        rows = np.zeros(mask.shape, dtype=np.float16)
-        rows[mask] = self.values
-        padded = _storage_order_inverse(rows, pm, pk, c)
+        tiles, _stats = decode_matrix(
+            self.bitmaps, self.values, self.m, self.k, self.config
+        )
+        gr, gc, gt_h, gt_w = tiles.shape
+        padded = tiles.transpose(0, 2, 1, 3).astype(np.float16, order="C")
+        padded = padded.reshape(gr * gt_h, gc * gt_w)
         return np.ascontiguousarray(padded[: self.m, : self.k])
 
     def validate(self) -> None:
@@ -295,7 +263,7 @@ def encode(
     else:
         padded = dense16
 
-    rows = _storage_order_view(padded, config)  # (NBT, 64)
+    rows = config.storage_rows(padded)  # (NBT, 64)
     mask = rows != 0
 
     bitmaps = pack_bitmap_rows(mask)

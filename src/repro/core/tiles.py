@@ -28,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Tuple
 
+import numpy as np
+
 __all__ = ["TileConfig", "DEFAULT_TILE_CONFIG"]
 
 
@@ -102,6 +104,22 @@ class TileConfig:
         """GroupTile grid shape ``(rows, cols)`` over the padded matrix."""
         pm, pk = self.padded_shape(m, k)
         return pm // self.gt_h, pk // self.gt_w
+
+    def storage_rows(self, padded: np.ndarray) -> np.ndarray:
+        """Rearrange a padded matrix into ``(NBT, 64)`` storage-order rows.
+
+        Row ``i`` holds the elements of the ``i``-th BitmapTile in storage
+        order, in bit order.  The encoder serialises through this one
+        permutation and the SMBD decoder derives its scatter slots from it.
+        """
+        pm, pk = padded.shape
+        gr, gc = pm // self.gt_h, pk // self.gt_w
+        tr, tc = self.gt_h // self.tt_h, self.gt_w // self.tt_w
+        br, bc = self.tt_h // self.bt_h, self.tt_w // self.bt_w
+        x = padded.reshape(gr, tr, br, self.bt_h, gc, tc, bc, self.bt_w)
+        # -> (GR, GC, TC, TR, bc, br, bit_row, bit_col)
+        x = x.transpose(0, 4, 5, 1, 6, 2, 3, 7)
+        return x.reshape(-1, self.bt_h * self.bt_w)
 
     # ---- ordering enumeration ---------------------------------------------------
     #

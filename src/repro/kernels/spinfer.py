@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..core.smbd import DecodeStats, decode_group, decode_group_fast, decode_matrix
+from ..core.smbd import DecodeStats, decode_group, decode_matrix
 from ..core.tca_bme import TCABMEMatrix, encode, tca_bme_storage_bytes
 from ..core.tiles import DEFAULT_TILE_CONFIG, TileConfig
 from ..gpu.simulator import Traffic, Work
@@ -74,11 +74,13 @@ class SpInferKernel(SpMMKernel):
     ) -> np.ndarray:
         """SpMM against a pre-encoded weight matrix (batched SMBD).
 
-        Every GroupTile is decoded in one batched scatter
-        (:func:`repro.core.smbd.decode_matrix`) and multiplied via one
-        stacked matmul; partial products are accumulated group-column by
-        group-column in storage order, so the result is bit-identical to
-        the per-GroupTile walk of :meth:`run_encoded_reference`.
+        Every call decodes the matrix's current bitmaps and values into
+        fp32 GroupTiles with one scatter
+        (:func:`repro.core.smbd.decode_matrix`; nothing decoded is kept
+        between calls) and multiplies them via one stacked matmul;
+        partial products are accumulated group-column by group-column in
+        storage order, so the result is bit-identical to the per-GroupTile
+        walk of :meth:`run_encoded_reference`.
 
         With ``verify=True`` the matrix must be sealed
         (:meth:`~repro.core.tca_bme.TCABMEMatrix.seal`): per-GroupTile
@@ -97,7 +99,7 @@ class SpInferKernel(SpMMKernel):
         tiles, stats = decode_matrix(w.bitmaps, w.values, w.m, w.k, cfg)
         # (GR, GC, gt_h, gt_w) @ (GC, gt_w, n) -> (GR, GC, gt_h, n); each
         # 2-D slice is the same sgemm the reference loop issues per group.
-        partial = tiles.astype(np.float32) @ x32.reshape(gcols, cfg.gt_w, n)
+        partial = tiles @ x32.reshape(gcols, cfg.gt_w, n)
         out = np.zeros((grows, cfg.gt_h, n), dtype=np.float32)
         for gc in range(gcols):  # in-order adds match the reference walk
             out += partial[:, gc]
@@ -128,22 +130,22 @@ class SpInferKernel(SpMMKernel):
     def run_encoded_reference(self, w: TCABMEMatrix, x: np.ndarray) -> np.ndarray:
         """Per-GroupTile scalar walk (the retained reference SpMM path).
 
-        Decodes one GroupTile at a time along ``iter_group_tiles`` and
-        accumulates per-group matmuls — the pre-vectorisation hot path,
-        kept for bit-exact differential testing against :meth:`run_encoded`.
+        Decodes one GroupTile at a time along ``iter_group_tiles``, each
+        from its ``GTileOffset`` slice of the values through the same
+        :func:`repro.core.smbd.decode_matrix`, and accumulates per-group
+        matmuls — the pre-vectorisation hot path, kept for bit-exact
+        differential testing of :meth:`run_encoded`'s batching.
         """
         x32, pm, _pk = self._padded_activation(w, x)
         cfg = w.config
         out = np.zeros((pm, x32.shape[1]), dtype=np.float32)
         stats = DecodeStats()
         for g, (gr, gc) in enumerate(cfg.iter_group_tiles(w.m, w.k)):
-            tile, tile_stats = decode_group_fast(
-                w.group_bitmaps(g), w.group_values(g), cfg
+            tile, tile_stats = decode_matrix(
+                w.group_bitmaps(g), w.group_values(g), cfg.gt_h, cfg.gt_w, cfg
             )
             stats.merge(tile_stats)
-            out[gr : gr + cfg.gt_h] += tile.astype(np.float32) @ x32[
-                gc : gc + cfg.gt_w
-            ]
+            out[gr : gr + cfg.gt_h] += tile[0, 0] @ x32[gc : gc + cfg.gt_w]
         self.last_decode_stats = stats
         return out[: w.m]
 

@@ -8,9 +8,10 @@ invariant and require a clear error (or detection by ``validate``).
 import numpy as np
 import pytest
 
-from repro.core.smbd import decode_group
+from repro.core.smbd import decode_group, decode_matrix
 from repro.core.tca_bme import TCABMEMatrix, encode
 from repro.formats import BSRMatrix, CSRMatrix, SparTAMatrix, TiledCSLMatrix
+from repro.kernels.spinfer import SpInferKernel
 
 
 def random_sparse(m, k, sparsity=0.5, seed=0):
@@ -71,6 +72,27 @@ class TestTCABMECorruption:
         enc = self._encoded(5)
         with pytest.raises(IndexError):
             decode_group(enc.group_bitmaps(0), enc.group_values(0)[:1])
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda bad: decode_matrix(bad.bitmaps, bad.values, *bad.shape),
+            lambda bad: bad.to_dense(),
+            lambda bad: SpInferKernel().run_encoded(
+                bad, np.ones((bad.k, 2), np.float16)
+            ),
+        ],
+        ids=["decode_matrix", "to_dense", "run_encoded"],
+    )
+    def test_single_value_is_not_broadcast(self, entry):
+        """One value for many set bits must raise, not fill every bit."""
+        enc = encode(random_sparse(64, 64, sparsity=0.6, seed=6))
+        bad = TCABMEMatrix(enc.shape, enc.gtile_offsets, enc.values[:1],
+                           enc.bitmaps, enc.config)
+        with pytest.raises(
+            ValueError, match=f"bitmap population {enc.nnz} != value count 1"
+        ):
+            entry(bad)
 
 
 class TestBaselineFormatCorruption:

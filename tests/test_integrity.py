@@ -124,6 +124,36 @@ class TestKernelVerify:
         ref = w.astype(np.float32) @ x.astype(np.float32)
         assert not np.allclose(out, ref, rtol=1e-3, atol=1e-3)
 
+    def test_spinfer_decodes_current_weights_each_call(self):
+        """Nothing decoded outlives a call: after a clean call, an in-place
+        value flip and then reassigned bitmaps each show up in the next
+        product, which equals a fresh encode of the edited matrix."""
+        w, x = random_problem(64, 64, 8, seed=10)
+        w[0, 0] = 0
+        kernel = make_kernel("spinfer")
+        enc = encode(w, kernel.tile_config).seal()
+        kernel.run_encoded(enc, x, verify=False)
+
+        def fresh(dense):
+            return kernel.run_encoded(encode(dense, kernel.tile_config), x)
+
+        # GroupTile 0's first value is its first BitmapTile's first non-zero.
+        enc.corrupt_group(0)
+        flipped = w.copy()
+        r, c = np.argwhere(w[:8, :8])[0]
+        flipped[r, c] = (flipped[r, c : c + 1].view(np.uint16) ^ (1 << 9)).view(
+            np.float16
+        )[0]
+        np.testing.assert_array_equal(kernel.run_encoded(enc, x), fresh(flipped))
+
+        # Move that value to (0, 0): new bitmaps, same values in storage order.
+        moved = flipped.copy()
+        moved[0, 0], moved[r, c] = flipped[r, c], 0
+        edit = encode(moved, kernel.tile_config)
+        np.testing.assert_array_equal(edit.values, enc.values)
+        enc.bitmaps = edit.bitmaps
+        np.testing.assert_array_equal(kernel.run_encoded(enc, x), fresh(moved))
+
     def test_flash_llm_catches_weight_corruption(self):
         w, x = random_problem(64, 64, 8, seed=9)
         kernel = make_kernel("flash_llm")

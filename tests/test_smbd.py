@@ -9,7 +9,7 @@ from repro.core.mma_layout import scatter_a_fragments
 from repro.core.smbd import (
     DecodeStats,
     decode_group,
-    decode_group_fast,
+    decode_matrix,
     decode_tctile,
 )
 from repro.core.tca_bme import encode
@@ -21,6 +21,16 @@ def encoded_sparse(m=64, k=64, sparsity=0.5, seed=0, cfg=DEFAULT_TILE_CONFIG):
     w = rng.standard_normal((m, k)).astype(np.float16)
     w[rng.random((m, k)) < sparsity] = 0
     return w, encode(w, cfg)
+
+
+def faithful_group_tile(enc, g=0, stats=None):
+    """GroupTile ``g`` decoded lane by lane, scattered out of its fragments."""
+    cfg = enc.config
+    frags = decode_group(enc.group_bitmaps(g), enc.group_values(g), cfg, stats)
+    tile = np.zeros((cfg.gt_h, cfg.gt_w), dtype=np.float16)
+    for f, (tr, tc) in zip(frags, cfg.iter_tctiles_in_group()):
+        tile[tr : tr + cfg.tt_h, tc : tc + cfg.tt_w] = scatter_a_fragments(f)
+    return tile
 
 
 class TestDecodeTCTile:
@@ -72,11 +82,7 @@ class TestDecodeTCTile:
 class TestDecodeGroup:
     def test_group_matches_dense(self):
         w, enc = encoded_sparse(64, 64, 0.6, seed=6)
-        frags = decode_group(enc.group_bitmaps(0), enc.group_values(0))
-        dense = np.zeros((64, 64), dtype=np.float16)
-        for i, (tr, tc) in enumerate(DEFAULT_TILE_CONFIG.iter_tctiles_in_group()):
-            dense[tr : tr + 16, tc : tc + 16] = scatter_a_fragments(frags[i])
-        assert np.array_equal(dense, w)
+        assert np.array_equal(faithful_group_tile(enc), w)
 
     def test_rejects_partial_tctile(self):
         with pytest.raises(ValueError):
@@ -101,23 +107,25 @@ class TestDecodeGroup:
 
 
 class TestFastPathEquivalence:
+    """The whole-matrix decode against the lane-faithful one."""
+
     @pytest.mark.parametrize("sparsity", [0.0, 0.3, 0.5, 0.8, 1.0])
     def test_fast_equals_faithful(self, sparsity):
-        w, enc = encoded_sparse(64, 64, sparsity, seed=8)
-        fast, _ = decode_group_fast(enc.group_bitmaps(0), enc.group_values(0))
-        frags = decode_group(enc.group_bitmaps(0), enc.group_values(0))
-        faithful = np.zeros((64, 64), dtype=np.float16)
-        for i, (tr, tc) in enumerate(DEFAULT_TILE_CONFIG.iter_tctiles_in_group()):
-            faithful[tr : tr + 16, tc : tc + 16] = scatter_a_fragments(frags[i])
-        assert np.array_equal(fast, faithful)
+        _w, enc = encoded_sparse(64, 64, sparsity, seed=8)
+        tiles, _ = decode_matrix(enc.bitmaps, enc.values, 64, 64)
+        assert tiles.shape == (1, 1, 64, 64) and tiles.dtype == np.float32
+        assert np.array_equal(tiles[0, 0], faithful_group_tile(enc))
 
     def test_fast_stats_match_closed_form(self):
         _w, enc = encoded_sparse(64, 64, 0.5, seed=9)
-        _, stats = decode_group_fast(enc.group_bitmaps(0), enc.group_values(0))
+        _, stats = decode_matrix(enc.bitmaps, enc.values, 64, 64)
         assert stats.popcount_ops == 64
         assert stats.masked_popcount_ops == 64 * 32
         assert stats.values_decoded == enc.nnz
         assert stats.zeros_filled == 64 * 64 - enc.nnz
+        faithful = DecodeStats()
+        faithful_group_tile(enc, stats=faithful)
+        assert stats == faithful
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -126,5 +134,5 @@ class TestFastPathEquivalence:
     )
     def test_fast_equals_faithful_property(self, sparsity, seed):
         w, enc = encoded_sparse(64, 64, sparsity, seed=seed)
-        fast, _ = decode_group_fast(enc.group_bitmaps(0), enc.group_values(0))
-        assert np.array_equal(fast, w)
+        tiles, _ = decode_matrix(enc.bitmaps, enc.values, 64, 64)
+        assert np.array_equal(tiles[0, 0], w)

@@ -1,9 +1,11 @@
 """Bit-exactness of the vectorised hot paths against their references.
 
-Every vectorised path keeps its pre-vectorisation implementation as a
-``*_reference`` sibling; these tests assert exact (bitwise) equality
-between the two across random shapes and sparsities, plus the 4096x4096
-60 %-sparse acceptance fixture with its >= 10x speedup floor.
+Each vectorised path is checked for exact (bitwise) equality against a
+reference across random shapes and sparsities: encode and the SpMM
+kernels against their pre-vectorisation ``*_reference`` siblings, the
+SMBD decodes against the lane-faithful :func:`decode_group` (or the
+dense input itself).  The 4096x4096 60 %-sparse acceptance fixture adds
+a >= 10x speedup floor.
 """
 
 import time
@@ -14,15 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bitmap import expand_bitmap_rows, pack_bitmap_rows
+from repro.core.mma_layout import scatter_a_fragments
 from repro.core.reference import encode_reference
 from repro.core.smbd import (
     DecodeStats,
     decode_group,
-    decode_group_fast,
     decode_group_frags,
     decode_matrix,
 )
 from repro.core.tca_bme import encode
+from repro.core.tiles import TileConfig
 from repro.formats.tiled_csl import TiledCSLMatrix
 from repro.kernels.flash_llm import FlashLLMKernel
 from repro.kernels.spinfer import SpInferKernel
@@ -38,6 +41,14 @@ def random_sparse(m, k, sparsity, seed=0):
 def random_activation(k, n, seed=1):
     rng = np.random.default_rng(seed)
     return rng.standard_normal((k, n)).astype(np.float16)
+
+
+def scatter_group(frags, cfg):
+    """A GroupTile's dense ``(gt_h, gt_w)`` tile from its mma fragments."""
+    tile = np.zeros((cfg.gt_h, cfg.gt_w), dtype=np.float16)
+    for f, (tr, tc) in zip(frags, cfg.iter_tctiles_in_group()):
+        tile[tr : tr + cfg.tt_h, tc : tc + cfg.tt_w] = scatter_a_fragments(f)
+    return tile
 
 
 SHAPES = [(64, 64, 8), (128, 192, 16), (70, 90, 5), (256, 128, 3)]
@@ -76,21 +87,41 @@ class TestDecodeMatrix:
         tiles, stats = decode_matrix(
             enc.bitmaps, enc.values, enc.m, enc.k, cfg
         )
-        looped = DecodeStats()
+        assert tiles.dtype == np.float32
+        faithful = DecodeStats()
         for g, (gr, gc) in enumerate(cfg.iter_group_tiles(enc.m, enc.k)):
-            tile, tile_stats = decode_group_fast(
-                enc.group_bitmaps(g), enc.group_values(g), cfg
+            frags = decode_group(
+                enc.group_bitmaps(g), enc.group_values(g), cfg, faithful
             )
-            looped.merge(tile_stats)
             np.testing.assert_array_equal(
-                tiles[gr // cfg.gt_h, gc // cfg.gt_w], tile
+                tiles[gr // cfg.gt_h, gc // cfg.gt_w], scatter_group(frags, cfg)
             )
-        assert stats == looped
+        assert stats == faithful
 
     def test_rejects_wrong_bitmap_count(self):
         enc = encode(random_sparse(64, 64, 0.5))
         with pytest.raises(ValueError):
             decode_matrix(enc.bitmaps[:-1], enc.values, 64, 64, enc.config)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            TileConfig(bt_h=4, bt_w=16),
+            TileConfig(bt_h=16, bt_w=4),
+            TileConfig(gt_h=128, gt_w=32),
+            TileConfig(gt_h=48, gt_w=80),
+        ],
+        ids=["bt4x16", "bt16x4", "gt128x32", "gt48x80"],
+    )
+    def test_other_tile_configs(self, cfg):
+        w = random_sparse(100, 150, 0.6, seed=21)
+        enc = encode(w, cfg)
+        np.testing.assert_array_equal(enc.to_dense(), w)
+        x = random_activation(150, 3)
+        kern = SpInferKernel(tile_config=cfg)
+        np.testing.assert_array_equal(
+            kern.run_encoded(enc, x), kern.run_encoded_reference(enc, x)
+        )
 
 
 class TestFragmentDecode:
@@ -201,14 +232,10 @@ class TestSpMMEquivalence:
         tiles, _stats = decode_matrix(
             enc.bitmaps, enc.values, enc.m, enc.k, enc.config
         )
-        cfg = enc.config
-        for g, (gr, gc) in enumerate(cfg.iter_group_tiles(enc.m, enc.k)):
-            tile, _s = decode_group_fast(
-                enc.group_bitmaps(g), enc.group_values(g), cfg
-            )
-            np.testing.assert_array_equal(
-                tiles[gr // cfg.gt_h, gc // cfg.gt_w], tile
-            )
+        grows, gcols, gt_h, gt_w = tiles.shape
+        padded = tiles.transpose(0, 2, 1, 3).reshape(grows * gt_h, gcols * gt_w)
+        np.testing.assert_array_equal(padded[:m, :k], w)
+        assert not padded[m:].any() and not padded[:, k:].any()
 
 
 class TestAcceptanceFixture:
@@ -264,11 +291,8 @@ class TestAcceptanceFixture:
                 enc.group_bitmaps(g), enc.group_values(g), cfg
             )
             np.testing.assert_array_equal(np.stack(frags), fast_frags)
-            tile, _s = decode_group_fast(
-                enc.group_bitmaps(g), enc.group_values(g), cfg
-            )
             np.testing.assert_array_equal(
-                tiles[g // grid_cols, g % grid_cols], tile
+                tiles[g // grid_cols, g % grid_cols], scatter_group(frags, cfg)
             )
         assert t_ref / t_vec >= 10.0, (
             f"decode speedup {t_ref / t_vec:.1f}x below the 10x floor "
