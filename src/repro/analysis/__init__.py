@@ -29,9 +29,9 @@ machine-checked properties that run without executing anything:
 * :mod:`~repro.analysis.source_lint` — determinism hazards in this
   repo's own Python source: ambient RNG, wall-clock reads, iteration
   order over unordered collections (``S001``–``S006``);
-* :mod:`~repro.analysis.schedule_lint` — happens-before schedule-race
-  detection over instrumented event-loop runs, including dual replay
-  under a reversed insertion tie-break (``H001``–``H005``).
+* :mod:`~repro.analysis.schedule_lint` — schedule-race detection by
+  dual replay of event-loop runs under a reversed insertion tie-break
+  (``H002``).
 
 ``check_all_builtin_programs`` sweeps every program, schedule and
 container the repo constructs; ``check_all_builtin_deployments`` sweeps
@@ -113,7 +113,6 @@ from .schedule_lint import (
     builtin_schedule_scenarios,
     check_builtin_schedules,
     dual_replay,
-    lint_schedule_log,
 )
 from .source_lint import (
     check_source,
@@ -177,7 +176,6 @@ __all__ = [
     "lint_recovery_policy",
     "lint_runtime_trace",
     "lint_server_policy",
-    "lint_schedule_log",
     "lint_source_file",
     "lint_source_text",
     "lint_tca_bme",

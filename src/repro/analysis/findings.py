@@ -5,9 +5,9 @@ Every rule has a stable ID (``W...`` warp-IR, ``P...`` pipeline,
 tensor-parallel, ``K...`` KV-cache, ``O...`` offload, ``D...``
 disaggregation, ``R...`` recovery/fault-tolerance, ``C...``
 integrity, ``A...`` autoscaling, ``Q...`` server admission, and the
-determinism families ``S...`` source hazards and ``H...``
-happens-before schedule races) so CI gates, docs and tests can refer
-to findings without string-matching messages.
+determinism families ``S...`` source hazards and ``H...`` schedule
+races found by dual replay) so CI gates, docs and tests can refer to
+findings without string-matching messages.
 
 The catalogue itself is a *registration table*: each lint module owns
 its family's :class:`Rule` definitions and registers them here at

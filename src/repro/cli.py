@@ -19,7 +19,7 @@ Subcommands mirror the library's main entry points::
     repro lint --fleet              # autoscaler/fleet checks (A* rules)
     repro lint --server             # server admission/session checks (Q*)
     repro lint --source             # determinism lint of repo source (S*)
-    repro lint --schedule           # schedule-race dual replay (H* rules)
+    repro lint --schedule           # schedule-race dual replay (H002)
     repro lint --list-rules         # combined rule catalogue
     repro models                    # list the model zoo
 
@@ -775,8 +775,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     # (flapping, kill-on-scale-down, unbounded ceilings, dropped KV,
     # conservation), --server sweeps admission policies / session teardown /
     # token-stream ordering, --source lints this repo's own Python for determinism
-    # hazards, --schedule dual-replays every builtin scenario and audits
-    # its happens-before schedule log, --integrity sweeps integrity
+    # hazards, --schedule dual-replays every builtin scenario under a
+    # reversed same-time tie-break, --integrity sweeps integrity
     # policies and SDC-run ledger audits.  With no flag every sweep runs.
     any_flag = (
         args.all_builtin or args.deployment or args.faults
@@ -1149,9 +1149,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_lint.add_argument(
         "--schedule", action="store_true",
-        help="instrument every builtin serving/disaggregation/chaos "
-        "scenario, audit its happens-before schedule log and dual-replay "
-        "it under a reversed same-time tie-break (H rules)",
+        help="dual-replay every builtin serving/disaggregation/chaos/"
+        "server/fleet scenario under a reversed same-time tie-break and "
+        "require identical behaviour (H002)",
     )
     p_lint.add_argument(
         "--integrity", action="store_true",

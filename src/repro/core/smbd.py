@@ -14,8 +14,8 @@ Decoding is two-phase per 32-bit register: phase I resolves the even bit
 by *reusing* phase I's count (incremented if ``a0`` was present), so only
 one MaskedPopCount is spent per lane per register.
 
-Three implementations are provided, the lane-faithful reference and two
-vectorised paths:
+Two implementations are provided, the lane-faithful reference and a
+vectorised whole-matrix path:
 
 :func:`decode_tctile` / :func:`decode_group`
     Lane-faithful reference: iterate lanes exactly as a warp would,
@@ -29,12 +29,6 @@ vectorised paths:
     geometry-only tables, place every value with one scatter.  The
     functional SpInfer kernel and ``TCABMEMatrix.to_dense`` decode through
     it.
-
-:func:`decode_group_frags`
-    Vectorised fragment decode: same ``(32, 4, 2)`` mma fragments as
-    :func:`decode_group`, but per-lane offsets come from one exclusive
-    cumulative sum over the expanded bitmaps instead of per-lane Python
-    ``bit_count`` loops.
 """
 
 from __future__ import annotations
@@ -53,7 +47,6 @@ __all__ = [
     "DecodeStats",
     "decode_tctile",
     "decode_group",
-    "decode_group_frags",
     "decode_matrix",
 ]
 
@@ -175,40 +168,6 @@ def _closed_form_stats(num_bitmaps: int, nnz: int) -> DecodeStats:
         values_decoded=nnz,
         zeros_filled=num_bitmaps * 64 - nnz,
     )
-
-
-def decode_group_frags(
-    group_bitmaps: np.ndarray,
-    group_values: np.ndarray,
-    config: TileConfig = DEFAULT_TILE_CONFIG,
-) -> Tuple[np.ndarray, DecodeStats]:
-    """Vectorised fragment decode of a whole GroupTile.
-
-    Returns ``(tts_per_gt, 32, 4, 2)`` float16 fragments, bit-identical to
-    stacking :func:`decode_group`'s output.  All per-lane MaskedPopCount
-    offsets fall out of one exclusive cumulative sum over the expanded
-    bitmap bits — the batched equivalent of Algorithm 2's per-lane scans.
-    """
-    group_bitmaps = np.asarray(group_bitmaps, dtype=np.uint64)
-    if group_bitmaps.size % config.bts_per_tt:
-        raise ValueError("bitmap count is not a whole number of TCTiles")
-    values = np.asarray(group_values, dtype=np.float16)
-
-    mask = expand_bitmap_rows(group_bitmaps)  # (nbt, 64) in bit order
-    # Exclusive running count over all bits in storage order: element i of
-    # the flat scan is the number of set bits strictly before bit i, i.e.
-    # exactly base_offset + MaskedPopCount for that bit's lane.
-    flat = mask.reshape(-1)
-    idx = np.cumsum(flat) - flat  # exclusive cumsum, shape (nbt * 64,)
-    gathered = np.zeros(flat.shape, dtype=np.float16)
-    gathered[flat] = values[idx[flat]]
-
-    # Bits 2l / 2l+1 of bitmap r are lane l's (a0, a1) of register r.
-    nbt = group_bitmaps.size
-    frags = gathered.reshape(nbt, WARP_SIZE, 2)
-    frags = frags.reshape(-1, config.bts_per_tt, WARP_SIZE, 2)
-    frags = frags.transpose(0, 2, 1, 3)  # -> (tiles, lane, reg, phase)
-    return np.ascontiguousarray(frags), _closed_form_stats(nbt, int(flat.sum()))
 
 
 @lru_cache(maxsize=32)

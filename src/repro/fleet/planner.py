@@ -94,14 +94,11 @@ def run_fleet_policy(
     cfg: FleetConfig,
     policy: AutoscalerPolicy,
     loop=None,
-    recorder=None,
 ) -> FleetOutcome:
     """Run the scenario's pinned workload through one policy.
 
-    ``loop`` and ``recorder`` are the H-family schedule lint's hooks,
-    as in :func:`~repro.llm.chaos.run_chaos`: an instrumented or
-    tie-break-permuted loop, and a recorder bound to the fleet's trace
-    before the run.
+    ``loop`` is the H002 dual replay's hook, as in
+    :func:`~repro.llm.chaos.run_chaos`: a tie-break-reversed loop.
     """
     profile = cfg.traffic()
     plan = (
@@ -117,8 +114,6 @@ def run_fleet_policy(
         horizon_s=profile.horizon_s,
         loop=loop,
     )
-    if recorder is not None:
-        recorder.set_trace(sim.runtime.trace)
     return sim.run(generate_sessions(profile))
 
 

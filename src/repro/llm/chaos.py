@@ -137,8 +137,7 @@ def build_chaos_runtime(
 
 
 def _run_disagg(
-    cfg: ChaosConfig, recovery_name: str, loop=None, recorder=None,
-    integrity=None,
+    cfg: ChaosConfig, recovery_name: str, loop=None, integrity=None,
 ) -> RuntimeStats:
     from .disaggregation import DisaggregatedConfig, build_disaggregated_runtime
 
@@ -158,8 +157,6 @@ def _run_disagg(
         loop=loop,
         integrity=integrity,
     )
-    if recorder is not None:
-        recorder.set_trace(runtime.trace)
     requests = [
         Request(i, 0.0, dcfg.prompt_len, dcfg.output_len)
         for i in range(dcfg.batch_size)
@@ -168,15 +165,12 @@ def _run_disagg(
 
 
 def run_chaos(
-    cfg: ChaosConfig, recovery_name: str, loop=None, recorder=None,
-    integrity=None,
+    cfg: ChaosConfig, recovery_name: str, loop=None, integrity=None,
 ) -> RuntimeStats:
     """One policy, one plan, one workload — fully deterministic.
 
-    ``loop`` lets instrumented callers (the H-family schedule lint)
-    supply an :class:`~repro.runtime.core.EventLoop` carrying an
-    observer or a permuted tie-break; ``recorder`` is bound to the
-    runtime's trace before the run so write-sets attribute correctly.
+    ``loop`` lets the H002 dual replay supply an
+    :class:`~repro.runtime.core.EventLoop` with a reversed tie-break.
     ``integrity`` (an :class:`~repro.integrity.IntegrityPolicy`, or
     None) switches on checksum verification and quarantine routing —
     None is bit-identical to the pre-integrity runtime.
@@ -184,13 +178,8 @@ def run_chaos(
     import copy
 
     if _targets_disagg(cfg):
-        return _run_disagg(
-            cfg, recovery_name, loop=loop, recorder=recorder,
-            integrity=integrity,
-        )
+        return _run_disagg(cfg, recovery_name, loop=loop, integrity=integrity)
     runtime = build_chaos_runtime(cfg, recovery_name, loop=loop, integrity=integrity)
-    if recorder is not None:
-        recorder.set_trace(runtime.trace)
     return runtime.run(copy.deepcopy(_workload(cfg)))
 
 

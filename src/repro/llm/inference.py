@@ -293,25 +293,12 @@ class InferenceEngine:
 
     def _decode(self) -> PhaseBreakdown:
         cfg = self.config
-        layers = self.model.num_layers
-        per_step = PhaseBreakdown(
-            linear_s=layers * self._layer_linears_seconds(cfg.batch_size)
-            + self._lm_head_seconds(cfg.batch_size),
-            comm_s=layers
-            * self.comm.layer_allreduce_seconds(
-                self.model.hidden_size, cfg.batch_size
-            ),
-            other_s=layers * self._other_seconds(cfg.batch_size),
-        )
-        per_step.other_s += _STEP_OVERHEAD_S * self.framework.overhead_factor
-        total = per_step.scaled(cfg.output_len)
         # Attention grows linearly with context; sum it exactly via the
         # average context length.
         avg_context = cfg.prompt_len + (cfg.output_len - 1) / 2.0
-        total.attention_s = (
-            layers * cfg.output_len * self._decode_attention_seconds(avg_context)
+        return self.decode_step_seconds(cfg.batch_size, avg_context).scaled(
+            cfg.output_len
         )
-        return total
 
     # ---- entry point ----------------------------------------------------------------
 

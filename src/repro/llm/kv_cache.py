@@ -34,10 +34,10 @@ class SequenceAllocation:
     owner: str = ""
     #: Content-integrity generation.  0 means the blocks hold exactly
     #: what the model wrote (pristine); every in-place corruption bumps
-    #: it, so the cheap content tag — a hash over ``(tokens, version)``
-    #: — no longer matches the tag of pristine content.  Forks and
-    #: migrations inherit the version: poisoned context stays traceable
-    #: wherever the blocks travel.
+    #: it, and the receive-side KV checks read ``payload_version != 0``
+    #: as a failed content tag.  Forks and migrations inherit the
+    #: version: poisoned context stays traceable wherever the blocks
+    #: travel.
     payload_version: int = 0
 
 
@@ -212,33 +212,11 @@ class KVBlockAllocator:
 
     def corrupt_sequence(self, seq_id: int) -> int:
         """Garble a sequence's payload in place (fault injection): the
-        blocks stay allocated, the token count is unchanged, but the
-        content no longer matches its tag.  Returns the new version."""
+        blocks stay allocated, the token count is unchanged, but
+        ``payload_version`` is no longer 0.  Returns the new version."""
         alloc = self._get(seq_id)
         alloc.payload_version += 1
         return alloc.payload_version
-
-    def content_tag(self, seq_id: int) -> int:
-        """Cheap per-sequence content tag: a pure integer hash over
-        ``(tokens, payload_version)``.  Matches
-        :meth:`pristine_tag` of the same token count iff the payload
-        was never corrupted — the check migrations run on receive."""
-        alloc = self._get(seq_id)
-        return self._tag(alloc.tokens, alloc.payload_version)
-
-    @staticmethod
-    def pristine_tag(tokens: int) -> int:
-        """The tag an uncorrupted sequence of ``tokens`` tokens has."""
-        return KVBlockAllocator._tag(tokens, 0)
-
-    def is_pristine(self, seq_id: int) -> bool:
-        return self._get(seq_id).payload_version == 0
-
-    @staticmethod
-    def _tag(tokens: int, version: int) -> int:
-        x = (tokens * 2654435761 + version * 40503 + 0x9E3779B9) % (1 << 32)
-        x ^= x >> 16
-        return (x * 0x45D9F3B) % (1 << 32) ^ (version << 1)
 
     # ---- introspection --------------------------------------------------------------
 

@@ -229,9 +229,8 @@ class ServingSimulator:
     def run(self, requests: List[Request], loop=None) -> RuntimeStats:
         """Simulate the trace to completion on the event runtime.
 
-        ``loop`` lets instrumented callers (the H-family schedule lint)
-        supply an :class:`~repro.runtime.core.EventLoop` carrying an
-        observer or a permuted tie-break.
+        ``loop`` lets the H002 dual replay supply an
+        :class:`~repro.runtime.core.EventLoop` with a reversed tie-break.
         """
         return self.build_scheduler().run(requests, loop=loop)
 

@@ -4,9 +4,9 @@ Two suites cover the reproduction's hot paths:
 
 ``kernels`` (written to ``BENCH_kernels.json``)
     TCA-BME encode (vectorised + scalar reference), batched SMBD decode
-    (vectorised + lane-faithful reference), the cumsum-offset fragment
-    decode, the direct CSR/Tiled-CSL format conversions, and the
-    functional SpInfer / Flash-LLM SpMM kernels.
+    (vectorised + lane-faithful reference), the direct CSR/Tiled-CSL
+    format conversions, and the functional SpInfer / Flash-LLM SpMM
+    kernels.
 
 ``runtime`` (written to ``BENCH_runtime.json``)
     Discrete-event serving scheduler throughput: FCFS blocking prefill,
@@ -135,20 +135,6 @@ def _case_decode_reference(shape, sparsity, seed):
         return np.stack(frags)
 
     return thunk, checksum_arrays
-
-
-def _case_fragment_decode(shape, sparsity, seed):
-    from ..core.smbd import decode_group_frags
-    from ..core.tca_bme import encode
-
-    w, _x = _sparse_fixture(*shape, sparsity, seed)
-    enc = encode(w)
-    # The cumsum offsets are global storage-order counts, so the whole
-    # bitmap/value stream decodes in one batched call.
-    return (
-        lambda: decode_group_frags(enc.bitmaps, enc.values, enc.config),
-        lambda res: checksum_arrays(res[0]),
-    )
 
 
 def _case_csr_to_tca_bme(shape, sparsity, seed):
@@ -330,9 +316,6 @@ _KERNEL_CASES: Dict[str, Tuple[CaseBuilder, tuple, tuple, bool]] = {
     "smbd_decode_matrix": (_case_decode_matrix, _FULL_SHAPE, _QUICK_SHAPE, True),
     "smbd_decode_reference": (
         _case_decode_reference, _REF_FULL_SHAPE, _REF_QUICK_SHAPE, True,
-    ),
-    "smbd_fragment_decode": (
-        _case_fragment_decode, _FULL_SHAPE, _QUICK_SHAPE, True,
     ),
     "csr_to_tca_bme": (_case_csr_to_tca_bme, _FULL_SHAPE, _QUICK_SHAPE, True),
     "tca_bme_to_csr": (_case_tca_bme_to_csr, _FULL_SHAPE, _QUICK_SHAPE, True),

@@ -42,7 +42,6 @@ from .faults import (
 )
 from .policies import POLICIES, AdmissionPolicy, FCFSPolicy, SJFPolicy, get_policy
 from .request import SessionRequest, TokenEvent, TokenStream
-from .schedule_log import ScheduleLog, ScheduleRecord, ScheduleRecorder
 from .scheduler import (
     PREFILL_MODES,
     ContinuousBatchingScheduler,
@@ -72,9 +71,6 @@ __all__ = [
     "SeqState",
     "KVSnapshot",
     "RuntimeTrace",
-    "ScheduleLog",
-    "ScheduleRecord",
-    "ScheduleRecorder",
     "FaultKind",
     "ALL_FAULT_KINDS",
     "SILENT_FAULT_KINDS",

@@ -23,12 +23,6 @@ observable trace to be unchanged.  Cancellation (``cancel(handle)``)
 removes an event's callback without disturbing the sequence numbering,
 so a run with cancelled events replays exactly like a run where they
 were never scheduled.
-
-An :class:`EventLoop` optionally carries an ``observer`` (see
-:class:`~repro.runtime.schedule_log.ScheduleRecorder`) notified on every
-schedule/cancel/dispatch — the hook the happens-before analysis records
-its schedule log through.  With no observer the hooks are two attribute
-checks per event.
 """
 
 from __future__ import annotations
@@ -82,12 +76,6 @@ class EventLoop:
         self._seq = 0
         self.dispatched = 0
         self.cancelled = 0
-        #: Optional schedule observer (duck-typed; see
-        #: :class:`~repro.runtime.schedule_log.ScheduleRecorder`).
-        self.observer = None
-        #: Handle currently being dispatched (parent attribution for
-        #: the happens-before graph), or None outside :meth:`run`.
-        self._dispatching: Optional[int] = None
 
     def _push(
         self, time: float, callback: Callable[[], None], phase: int
@@ -97,8 +85,6 @@ class EventLoop:
         heapq.heappush(self._heap, (time, phase, key))
         self._callbacks[handle] = callback
         self._seq += 1
-        if self.observer is not None:
-            self.observer.on_schedule(handle, time, phase, self._dispatching)
         return handle
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> int:
@@ -141,12 +127,11 @@ class EventLoop:
         the surviving events — the heap entry stays in place and is
         skipped at pop time, so determinism is preserved (timeout
         machinery in the fault-tolerant schedulers depends on this).
+        Handles come from a monotone sequence and are never reused, so
+        cancelling one that already fired or was already cancelled
+        returns False and touches no other event.
         """
-        pending = self._callbacks.pop(handle, None) is not None
-        if self.observer is not None:
-            # Stale cancels are reported too: H004 audits them.
-            self.observer.on_cancel(handle, pending)
-        if not pending:
+        if self._callbacks.pop(handle, None) is None:
             return False
         self.cancelled += 1
         return True
@@ -156,7 +141,12 @@ class EventLoop:
         return len(self._callbacks)
 
     def run(self, max_events: int = MAX_EVENTS) -> None:
-        """Dispatch events until the queue drains."""
+        """Dispatch events until the queue drains.
+
+        ``max_events`` bounds the total dispatch count, so a schedule
+        that keeps re-enqueueing without advancing the clock (a
+        same-instant spin) raises instead of hanging.
+        """
         while self._heap:
             if self.dispatched >= max_events:
                 raise RuntimeError(
@@ -172,15 +162,7 @@ class EventLoop:
                 continue  # cancelled; never fires, never advances the clock
             self.now = time
             self.dispatched += 1
-            self._dispatching = handle
-            if self.observer is not None:
-                self.observer.on_dispatch(handle, time)
-            try:
-                callback()
-            finally:
-                self._dispatching = None
-                if self.observer is not None:
-                    self.observer.on_dispatch_done(handle)
+            callback()
 
 
 class GPUPool:

@@ -103,17 +103,3 @@ class TraceEvent:
             self.pool,
             tuple(sorted(self.info.items())),
         )
-
-    def write_keys(self) -> Tuple[Tuple[str, object], ...]:
-        """State locations this event's emitter touched.
-
-        The H-family happens-before analysis treats every trace event
-        emitted during a dispatch as evidence of a write: per-sequence
-        events touch ``(pool, seq_id)``; pool-level events (faults,
-        recoveries, snapshots) touch the whole pool, modelled as the
-        wildcard ``(pool, "*")`` which intersects every key on that
-        pool.
-        """
-        if self.seq_id is None:
-            return ((self.pool, "*"),)
-        return ((self.pool, self.seq_id),)

@@ -290,7 +290,7 @@ class ContinuousBatchingScheduler:
         self, requests: Sequence, loop: Optional[EventLoop] = None
     ) -> RuntimeStats:
         """Simulate a whole trace on a private loop (or a supplied one —
-        instrumented runs hand in a loop carrying a schedule observer)."""
+        the H002 dual replay hands in a loop with a reversed tie-break)."""
         if not requests:
             raise ValueError("empty workload")
         if loop is None:

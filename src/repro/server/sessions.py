@@ -314,11 +314,11 @@ class SessionManager:
             self._drop_prefix(session_id)
             self.migration_drops += 1
             return 0
-        # Receive-side integrity check: the target compares the shipped
-        # payload's content tag against the pristine tag for its token
-        # count.  A mismatch means the prefix was silently corrupted at
-        # the source — drop it (recompute-from-prompt) rather than fork
-        # poisoned KV into every future turn of the session.
+        # Receive-side integrity check: the target reads the shipped
+        # payload's ``payload_version``.  Anything but 0 means the prefix
+        # was silently corrupted at the source — drop it (recompute-from-
+        # prompt) rather than fork poisoned KV into every future turn of
+        # the session.
         src_alloc = source.pool.allocator
         version = src_alloc.sequence(entry.seq_id).payload_version
         pol = getattr(self.runtime, "integrity", None)

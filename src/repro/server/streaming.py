@@ -242,8 +242,8 @@ class StreamingServer:
 
 def build_server(cfg: ServerConfig, loop=None) -> StreamingServer:
     """The scenario's server over :func:`~repro.llm.serving.
-    replica_pools`, with a token stream; ``loop`` lets the H-family
-    schedule lint supply an instrumented or tie-break-permuted loop."""
+    replica_pools`, with a token stream; ``loop`` lets the H002 dual
+    replay supply a tie-break-reversed loop."""
     pools = replica_pools(cfg.model, cfg.framework, cfg.gpu, cfg.replicas)
     plan = (
         builtin_fault_plans()[cfg.fault_plan]

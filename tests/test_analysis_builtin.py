@@ -32,7 +32,7 @@ class TestFindings:
             "Q001", "Q002", "Q003", "Q004",
             "A001", "A002", "A003", "A004", "A005",
             "S001", "S002", "S003", "S004", "S005", "S006",
-            "H001", "H002", "H003", "H004", "H005",
+            "H002",
         }
         ensure_all_registered()
         assert expected == set(RULES)

@@ -179,15 +179,6 @@ class TestDispatchVerifyCost:
 
 
 class TestKVTags:
-    def test_pristine_and_corrupt_tags(self):
-        alloc = KVBlockAllocator(total_blocks=32, block_size=16)
-        alloc.allocate(seq_id=1, tokens=40)
-        assert alloc.is_pristine(1)
-        assert alloc.content_tag(1) == KVBlockAllocator.pristine_tag(40)
-        alloc.corrupt_sequence(1)
-        assert not alloc.is_pristine(1)
-        assert alloc.content_tag(1) != KVBlockAllocator.pristine_tag(40)
-
     def test_fork_carries_payload_version(self):
         alloc = KVBlockAllocator(total_blocks=32, block_size=16)
         alloc.allocate(seq_id=1, tokens=20)

@@ -77,9 +77,9 @@ class TestSuite:
     def test_covers_the_hot_paths(self, kernel_records, runtime_records):
         kernel_cases = {r["case"] for r in kernel_records}
         assert {
-            "tca_bme_encode", "smbd_decode_matrix", "smbd_fragment_decode",
-            "csr_to_tca_bme", "tca_bme_to_csr", "tiled_csl_to_tca_bme",
-            "spinfer_spmm", "flash_llm_spmm",
+            "tca_bme_encode", "smbd_decode_matrix", "csr_to_tca_bme",
+            "tca_bme_to_csr", "tiled_csl_to_tca_bme", "spinfer_spmm",
+            "flash_llm_spmm",
         } <= kernel_cases
         assert {r["case"] for r in runtime_records} == {
             "scheduler_fcfs", "scheduler_chunked_preemption", "scheduler_sjf",

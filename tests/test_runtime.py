@@ -60,15 +60,24 @@ class TestEventLoop:
         assert fired == ["a", "b", "c"]
         assert loop.now == 1.0
 
-    def test_event_budget_backstop(self):
+    @pytest.mark.parametrize("respawn_with", ["schedule_at", "defer"])
+    def test_event_budget_backstop(self, respawn_with):
+        """A same-instant spin, through ordinary or deferred events,
+        exhausts the event budget instead of hanging."""
         loop = EventLoop()
+        reschedule = {
+            "schedule_at": lambda cb: loop.schedule_at(loop.now, cb),
+            "defer": loop.defer,
+        }[respawn_with]
 
         def respawn():
-            loop.schedule_at(loop.now, respawn)
+            reschedule(respawn)
 
-        loop.schedule_at(0.0, respawn)
+        loop.schedule_at(1.0, respawn)
         with pytest.raises(RuntimeError, match="not making progress"):
             loop.run(max_events=100)
+        assert loop.dispatched == 100
+        assert loop.now == 1.0
 
     def test_cancel_prevents_firing(self):
         loop = EventLoop()
@@ -87,6 +96,18 @@ class TestEventLoop:
         assert loop.cancel(handle) is False
         assert loop.cancel(12345) is False
         assert loop.cancelled == 1
+        # A handle that already fired, cancelled from inside the loop
+        # and after it: False, not counted, and nothing fires again.
+        fired, stale = [], []
+        done = loop.schedule_at(2.0, lambda: fired.append("done"))
+        loop.schedule_at(3.0, lambda: stale.append(loop.cancel(done)))
+        loop.run()
+        assert stale == [False]
+        assert loop.cancel(done) is False
+        assert loop.cancelled == 1
+        loop.run()
+        assert fired == ["done"]
+        assert loop.dispatched == 2
 
     def test_cancelled_event_never_advances_clock(self):
         loop = EventLoop()
@@ -572,43 +593,3 @@ class TestEventLoopTieBreak:
 
         assert drive("fifo") == drive("lifo")
         assert drive("fifo") == ({"peer"}, ["rearmed"], 1.0, 2, 4)
-
-    def test_observer_sees_schedule_dispatch_and_stale_cancel(self):
-        from repro.runtime import ScheduleRecorder
-
-        loop = EventLoop()
-        recorder = ScheduleRecorder(loop)
-        h0 = loop.schedule_at(1.0, lambda: None)
-        h1 = loop.schedule_at(2.0, lambda: None)
-        loop.cancel(h1)
-        loop.run()
-        loop.cancel(h0)  # already fired -> stale
-        log = recorder.log
-        rec0 = log.record_for(h0)
-        rec1 = log.record_for(h1)
-        assert rec0.dispatched and rec0.fire_t == 1.0
-        assert rec1.cancelled and not rec1.dispatched
-        assert log.stale_cancels == [h0]
-
-    def test_recorder_attributes_writes_and_parents(self):
-        from repro.runtime import RuntimeTrace, ScheduleRecorder
-
-        loop = EventLoop()
-        recorder = ScheduleRecorder(loop)
-        trace = RuntimeTrace()
-        recorder.set_trace(trace)
-        child_handle = []
-
-        def parent():
-            trace.record(1.0, "admit", 7, "gpu0")
-            child_handle.append(
-                loop.schedule_at(2.0, lambda: trace.record(2.0, "finish", 7, "gpu0"))
-            )
-
-        root = loop.schedule_at(1.0, parent)
-        loop.run()
-        log = recorder.log
-        assert log.record_for(root).writes == frozenset({("gpu0", 7)})
-        child = log.record_for(child_handle[0])
-        assert child.parent == root
-        assert root in log.ancestors(child.handle)

@@ -18,12 +18,7 @@ from hypothesis import strategies as st
 from repro.core.bitmap import expand_bitmap_rows, pack_bitmap_rows
 from repro.core.mma_layout import scatter_a_fragments
 from repro.core.reference import encode_reference
-from repro.core.smbd import (
-    DecodeStats,
-    decode_group,
-    decode_group_frags,
-    decode_matrix,
-)
+from repro.core.smbd import DecodeStats, decode_group, decode_matrix
 from repro.core.tca_bme import encode
 from repro.core.tiles import TileConfig
 from repro.formats.tiled_csl import TiledCSLMatrix
@@ -122,36 +117,6 @@ class TestDecodeMatrix:
         np.testing.assert_array_equal(
             kern.run_encoded(enc, x), kern.run_encoded_reference(enc, x)
         )
-
-
-class TestFragmentDecode:
-    @pytest.mark.parametrize("sparsity", SPARSITIES)
-    def test_matches_lane_faithful_decode(self, sparsity):
-        enc = encode(random_sparse(128, 128, sparsity, seed=11))
-        cfg = enc.config
-        for g in range(enc.num_group_tiles):
-            ref_stats = DecodeStats()
-            ref = decode_group(
-                enc.group_bitmaps(g), enc.group_values(g), cfg, ref_stats
-            )
-            fast, stats = decode_group_frags(
-                enc.group_bitmaps(g), enc.group_values(g), cfg
-            )
-            np.testing.assert_array_equal(np.stack(ref), fast)
-            assert stats == ref_stats
-
-    def test_whole_matrix_stream_decode(self):
-        # Cumsum offsets are global storage-order counts, so the entire
-        # bitmap/value stream decodes in one call.
-        enc = encode(random_sparse(192, 128, 0.6, seed=13))
-        cfg = enc.config
-        ref = []
-        for g in range(enc.num_group_tiles):
-            ref.extend(
-                decode_group(enc.group_bitmaps(g), enc.group_values(g), cfg)
-            )
-        fast, _stats = decode_group_frags(enc.bitmaps, enc.values, cfg)
-        np.testing.assert_array_equal(np.stack(ref), fast)
 
 
 class TestSpMMEquivalence:
@@ -287,10 +252,6 @@ class TestAcceptanceFixture:
             frags = decode_group(
                 enc.group_bitmaps(g), enc.group_values(g), cfg
             )
-            fast_frags, _s = decode_group_frags(
-                enc.group_bitmaps(g), enc.group_values(g), cfg
-            )
-            np.testing.assert_array_equal(np.stack(frags), fast_frags)
             np.testing.assert_array_equal(
                 tiles[g // grid_cols, g % grid_cols], scatter_group(frags, cfg)
             )
