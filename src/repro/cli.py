@@ -191,10 +191,15 @@ def _bench_check(args: argparse.Namespace) -> int:
             records = run_suite(
                 suite, quick=True, repeats=args.repeats, seed=args.seed
             )
-            fresh = {"suite": suite, "cases": records}
-        regressions, notes = compare_documents(
-            baseline, fresh, tolerance=args.tolerance
-        )
+            fresh = {"suite": suite, "quick": True, "cases": records}
+        try:
+            regressions, notes = compare_documents(
+                baseline, fresh, tolerance=args.tolerance
+            )
+        except ValueError as exc:
+            print(f"bench check refused: {baseline_path}: {exc}",
+                  file=sys.stderr)
+            return 2
         print(f"== {baseline_path} (suite {suite}, "
               f"tolerance {args.tolerance:.2f}) ==")
         print(render_regressions(regressions, notes))

@@ -146,6 +146,13 @@ class InferenceEngine:
         self._dense_kernel = get_framework("fastertransformer").make_kernel()
         self.comm = CommModel(gpu=self.gpu, ranks=config.num_gpus)
         self._profile_cache: Dict[Tuple[str, int, int, int, float], float] = {}
+        #: ``batch -> (linear_s, comm_s, other_s)`` of one decode step.
+        #: Exact, not an approximation: those three terms read ``batch``
+        #: and the engine's immutable configuration only.  Attention is
+        #: the one term that reads ``context``, so it is never memoised.
+        self._decode_memo: Dict[int, Tuple[float, float, float]] = {}
+        #: ``n_tokens -> seconds`` of :meth:`prefill_tokens_seconds`.
+        self._prefill_memo: Dict[int, float] = {}
 
     # ---- building blocks ---------------------------------------------------------
 
@@ -240,20 +247,27 @@ class InferenceEngine:
     def decode_step_seconds(self, batch: int, context: float) -> PhaseBreakdown:
         """Cost of ONE decode iteration at an arbitrary running batch and
         average context — the primitive the continuous-batching serving
-        simulator composes."""
+        simulator composes.  Returns a fresh breakdown on every call."""
         if batch <= 0 or context < 0:
             raise ValueError("batch must be positive and context non-negative")
         layers = self.model.num_layers
-        step = PhaseBreakdown(
-            linear_s=layers * self._layer_linears_seconds(batch)
-            + self._lm_head_seconds(batch),
+        fixed = self._decode_memo.get(batch)
+        if fixed is None:
+            fixed = self._decode_memo[batch] = (
+                layers * self._layer_linears_seconds(batch)
+                + self._lm_head_seconds(batch),
+                layers
+                * self.comm.layer_allreduce_seconds(self.model.hidden_size, batch),
+                layers * self._other_seconds(batch)
+                + _STEP_OVERHEAD_S * self.framework.overhead_factor,
+            )
+        linear_s, comm_s, other_s = fixed
+        return PhaseBreakdown(
+            linear_s=linear_s,
             attention_s=layers * self._decode_attention_seconds(context, batch),
-            comm_s=layers
-            * self.comm.layer_allreduce_seconds(self.model.hidden_size, batch),
-            other_s=layers * self._other_seconds(batch)
-            + _STEP_OVERHEAD_S * self.framework.overhead_factor,
+            comm_s=comm_s,
+            other_s=other_s,
         )
-        return step
 
     def prefill_tokens_seconds(self, n_tokens: int) -> float:
         """Linear + elementwise cost of pushing ``n_tokens`` prompt
@@ -262,11 +276,13 @@ class InferenceEngine:
         the serving simulator's historical prefill charge)."""
         if n_tokens <= 0:
             raise ValueError("n_tokens must be positive")
-        layers = self.model.num_layers
-        return layers * (
-            self._layer_linears_seconds(n_tokens)
-            + self._other_seconds(n_tokens)
-        )
+        seconds = self._prefill_memo.get(n_tokens)
+        if seconds is None:
+            seconds = self._prefill_memo[n_tokens] = self.model.num_layers * (
+                self._layer_linears_seconds(n_tokens)
+                + self._other_seconds(n_tokens)
+            )
+        return seconds
 
     # ---- phases ------------------------------------------------------------------
 

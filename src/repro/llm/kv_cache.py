@@ -15,7 +15,7 @@ reference counts for shared prefixes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, Iterable, List
 
 __all__ = ["KVBlockAllocator", "SequenceAllocation"]
 
@@ -75,15 +75,24 @@ class KVBlockAllocator:
     def can_allocate(self, tokens: int) -> bool:
         return self.blocks_needed(tokens) <= self.free_blocks
 
-    def needs_block(self, seq_id: int) -> bool:
-        """Whether the NEXT ``append_token`` would consume a free block
-        (a fresh tail block, or a copy-on-write duplicate of a shared
-        tail).  The serving scheduler asks this when it sizes a prefill
-        chunk and before it commits a decode iteration."""
-        alloc = self._get(seq_id)
-        if alloc.tokens + 1 > len(alloc.block_ids) * self.block_size:
-            return True
-        return self._refcount[alloc.block_ids[-1]] > 1
+    def next_token_blocks(self, seq_ids: Iterable[int]) -> int:
+        """How many free blocks one more token for each of ``seq_ids``
+        would consume: one per sequence whose tail block is full, or
+        shared and so copied on write.  Each sequence is counted on its
+        own, as if it appended first.  The serving scheduler asks this
+        when it sizes a prefill chunk and before it commits a decode
+        iteration."""
+        size = self.block_size
+        needed = 0
+        for seq_id in seq_ids:
+            alloc = self.sequence(seq_id)
+            blocks = alloc.block_ids
+            if (
+                alloc.tokens >= len(blocks) * size
+                or self._refcount[blocks[-1]] > 1
+            ):
+                needed += 1
+        return needed
 
     # ---- allocation -----------------------------------------------------------------
 
@@ -107,45 +116,50 @@ class KVBlockAllocator:
         self._sequences[seq_id] = alloc
         return alloc
 
-    def append_token(self, seq_id: int) -> bool:
-        """Extend a sequence by one token; returns True if a block was
+    def append_token(self, seq_id: int, n: int = 1) -> bool:
+        """Extend a sequence by ``n`` tokens; returns True if a block was
         consumed (a fresh tail block, or a copy-on-write duplicate of a
-        shared tail).  False = the tail block had room and was private.
+        shared tail).  False = the tail block had room for all ``n``
+        tokens and was private.
+
+        One call leaves the same block tables, reference counts and free
+        list as ``n`` one-token calls: a shared tail with room is copied
+        first, then fresh blocks leave the free list in order.  When the
+        pool cannot supply every block it raises ``MemoryError`` and
+        changes nothing.
         """
-        alloc = self._get(seq_id)
-        if alloc.tokens + 1 > len(alloc.block_ids) * self.block_size:
-            if not self._free:
-                raise MemoryError(
-                    f"out of KV blocks extending sequence {seq_id}"
-                )
-            block = self._free.pop()
-            self._refcount[block] = 1
-            alloc.block_ids.append(block)
-            alloc.tokens += 1
-            return True
+        if n < 0:
+            raise ValueError(f"cannot append {n} tokens")
+        alloc = self.sequence(seq_id)
+        blocks = alloc.block_ids
+        room = len(blocks) * self.block_size - alloc.tokens
         # Writing into the tail block: if it is shared with a fork, the
         # write would corrupt the other sequence's cache — copy it first.
-        tail = alloc.block_ids[-1]
-        if self._refcount[tail] > 1:
-            if not self._free:
-                raise MemoryError(
-                    f"out of KV blocks copy-on-write for sequence {seq_id}"
-                )
+        cow = n > 0 and room > 0 and self._refcount[blocks[-1]] > 1
+        fresh = -(-(n - room) // self.block_size) if n > room else 0
+        if cow + fresh > len(self._free):
+            raise MemoryError(
+                f"out of KV blocks extending sequence {seq_id} by {n} "
+                f"token(s): need {cow + fresh}, {len(self._free)} free"
+            )
+        if cow:
             copied = self._free.pop()
-            self._refcount[tail] -= 1
+            self._refcount[blocks[-1]] -= 1
             self._refcount[copied] = 1
-            alloc.block_ids[-1] = copied
-            alloc.tokens += 1
-            return True
-        alloc.tokens += 1
-        return False
+            blocks[-1] = copied
+        for _ in range(fresh):
+            block = self._free.pop()
+            self._refcount[block] = 1
+            blocks.append(block)
+        alloc.tokens += n
+        return cow or fresh > 0
 
     def fork(
         self, parent_id: int, child_id: int, owner: str = ""
     ) -> SequenceAllocation:
         """Share a parent's blocks copy-on-write (beam search / prefix
         caching): the child references the same blocks; refcounts rise."""
-        parent = self._get(parent_id)
+        parent = self.sequence(parent_id)
         if child_id in self._sequences:
             raise KeyError(f"sequence {child_id} already allocated")
         child = SequenceAllocation(
@@ -214,14 +228,17 @@ class KVBlockAllocator:
         """Garble a sequence's payload in place (fault injection): the
         blocks stay allocated, the token count is unchanged, but
         ``payload_version`` is no longer 0.  Returns the new version."""
-        alloc = self._get(seq_id)
+        alloc = self.sequence(seq_id)
         alloc.payload_version += 1
         return alloc.payload_version
 
     # ---- introspection --------------------------------------------------------------
 
     def sequence(self, seq_id: int) -> SequenceAllocation:
-        return self._get(seq_id)
+        try:
+            return self._sequences[seq_id]
+        except KeyError:
+            raise KeyError(f"unknown sequence {seq_id}") from None
 
     def has_sequence(self, seq_id: int) -> bool:
         return seq_id in self._sequences
@@ -264,12 +281,6 @@ class KVBlockAllocator:
         from ..runtime.trace import KVSnapshot
 
         return KVSnapshot.capture(self, t, pool)
-
-    def _get(self, seq_id: int) -> SequenceAllocation:
-        try:
-            return self._sequences[seq_id]
-        except KeyError:
-            raise KeyError(f"unknown sequence {seq_id}") from None
 
     def reserved_vs_paged_tokens(self) -> float:
         """Paging efficiency: allocated token slots per stored token.

@@ -14,6 +14,12 @@ A case present in the baseline but missing from the fresh run also
 fails (a silently dropped benchmark is how perf coverage rots).  Cases
 new in the fresh run pass — they become part of the baseline on the
 next refresh.
+
+Only like is compared with like.  A case whose ``shape`` differs from
+its baseline's is a **shape** regression, with no checksum or
+wall-clock verdict: neither means anything across problem sizes.  Two
+documents whose ``quick`` flags differ are refused outright
+(``ValueError``).
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ class Regression:
 
     suite: str
     case: str
-    kind: str  # "perf" | "checksum" | "missing"
+    kind: str  # "perf" | "checksum" | "missing" | "shape"
     detail: str
 
 
@@ -48,6 +54,11 @@ def compare_documents(
     """
     if tolerance < 0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
+    if baseline.get("quick") != fresh.get("quick"):
+        raise ValueError(
+            f"refusing to compare a quick={baseline.get('quick')} baseline "
+            f"with a quick={fresh.get('quick')} run: shapes and timings differ"
+        )
     base_idx = _index(baseline)
     fresh_idx = _index(fresh)
 
@@ -61,6 +72,16 @@ def compare_documents(
         if cur is None:
             regressions.append(
                 Regression(suite, case, "missing", "case absent from fresh run")
+            )
+            continue
+        if base["shape"] != cur["shape"]:
+            regressions.append(
+                Regression(
+                    suite,
+                    case,
+                    "shape",
+                    f"baseline shape {base['shape']} != fresh {cur['shape']}",
+                )
             )
             continue
         if (

@@ -443,8 +443,7 @@ class ContinuousBatchingScheduler:
             seq.prefill_done = cached
             self.stats.cached_prefill_tokens += cached
             if self.prefill_mode != "chunked":
-                for _ in range(target - cached):
-                    alloc.append_token(seq.seq_id)
+                alloc.append_token(seq.seq_id, target - cached)
                 seq.prefill_done = target
                 if self.prefill_mode == "blocking":
                     cost = self.pool.prefill_tokens_seconds(target - cached)
@@ -512,7 +511,7 @@ class ContinuousBatchingScheduler:
         alloc = self.pool.allocator
         slack = self._tail_slack(seq)
         free = alloc.free_blocks
-        if slack and alloc.needs_block(seq.seq_id):
+        if slack and alloc.next_token_blocks([seq.seq_id]):
             free -= 1  # the first append copies the shared tail block
         capacity = free * self.pool.block_size + slack
         while capacity < want and self.preemption:
@@ -529,7 +528,7 @@ class ContinuousBatchingScheduler:
         the lowest-priority sequences when the pool is dry."""
         alloc = self.pool.allocator
         while True:
-            needed = sum(1 for s in decoders if alloc.needs_block(s.seq_id))
+            needed = alloc.next_token_blocks(s.seq_id for s in decoders)
             if alloc.free_blocks >= needed:
                 return decoders
             if not self.preemption:
@@ -585,8 +584,7 @@ class ContinuousBatchingScheduler:
                 take = self._fit_prefill_tokens(seq, min(budget, remaining))
                 if take <= 0:
                     continue
-                for _ in range(take):
-                    alloc.append_token(seq.seq_id)
+                alloc.append_token(seq.seq_id, take)
                 seq.prefill_done += take
                 budget -= take
                 chunk_done += take

@@ -5,6 +5,8 @@ per-layer kernel profiles, attention model, communication model — with
 no hidden double counting.
 """
 
+import random
+
 import pytest
 
 from repro.gpu.specs import RTX4090
@@ -12,6 +14,7 @@ from repro.kernels import SpMMProblem, make_kernel
 from repro.llm.inference import InferenceConfig, InferenceEngine
 from repro.llm.models import get_model
 from repro.llm.parallel import CommModel
+from repro.runtime.core import GPUPool
 
 
 def engine(**kw):
@@ -105,3 +108,67 @@ class TestPrefillComposition:
         assert e.comm.layer_allreduce_seconds(5120, 16) == pytest.approx(
             comm.layer_allreduce_seconds(5120, 16)
         )
+
+
+#: (framework, sparsity): both sparse kernels and one dense framework.
+_FRAMEWORKS = [("spinfer", 0.6), ("flash-llm", 0.6), ("fastertransformer", 0.0)]
+#: A ReLU/OPT model and a SiLU mixture-of-experts model.
+_MODELS = ["opt-13b", "mixtral-8x7b"]
+
+
+@pytest.mark.parametrize("model", _MODELS)
+@pytest.mark.parametrize("framework,sparsity", _FRAMEWORKS)
+class TestCostMemo:
+    """The per-engine memo returns exactly what a fresh engine computes."""
+
+    def test_warm_engine_equals_fresh_engine(self, framework, sparsity, model):
+        grid = [
+            ("decode", b, c)
+            for b in (1, 2, 3, 8, 17, 32)
+            for c in (0, 1.5, 100, 2047)
+        ] + [("prefill", n, None) for n in (1, 7, 128, 500)]
+        random.Random(0).shuffle(grid)
+        warm = engine(framework=framework, sparsity=sparsity, model=model)
+        for kind, n, context in grid + grid:
+            fresh = engine(framework=framework, sparsity=sparsity, model=model)
+            if kind == "decode":
+                got = warm.decode_step_seconds(n, context)
+                assert got == fresh.decode_step_seconds(n, context)
+            else:
+                got = warm.prefill_tokens_seconds(n)
+                assert got == fresh.prefill_tokens_seconds(n)
+
+    def test_each_call_returns_a_fresh_breakdown(
+        self, framework, sparsity, model
+    ):
+        e = engine(framework=framework, sparsity=sparsity, model=model)
+        first = e.decode_step_seconds(8, 256)
+        second = e.decode_step_seconds(8, 256)
+        assert first is not second
+        first.add(second)
+        assert e.decode_step_seconds(8, 256) == second
+
+    def test_slowdown_scales_without_touching_nominal(
+        self, framework, sparsity, model
+    ):
+        e = engine(framework=framework, sparsity=sparsity, model=model)
+        pool = GPUPool(e, kv_budget_bytes=0.0, total_blocks=64)
+        nominal = pool.decode_step(8, 256)
+        nominal_prefill = pool.prefill_tokens_seconds(64)
+        pool.set_slowdown(2.0)
+        assert pool.decode_step(8, 256) == nominal.scaled(2.0)
+        assert pool.prefill_tokens_seconds(64) == nominal_prefill * 2.0
+        pool.set_slowdown(1.0)
+        assert pool.decode_step(8, 256) == nominal
+        assert pool.prefill_tokens_seconds(64) == nominal_prefill
+
+    def test_warm_engine_still_validates(self, framework, sparsity, model):
+        e = engine(framework=framework, sparsity=sparsity, model=model)
+        e.decode_step_seconds(1, 10)
+        e.prefill_tokens_seconds(1)
+        with pytest.raises(ValueError):
+            e.decode_step_seconds(0, 10)
+        with pytest.raises(ValueError):
+            e.decode_step_seconds(1, -1)
+        with pytest.raises(ValueError):
+            e.prefill_tokens_seconds(0)

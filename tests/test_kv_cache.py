@@ -1,5 +1,7 @@
 """Tests for the paged KV-cache allocator."""
 
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -296,3 +298,120 @@ class TestOwnership:
         a.free(-1)
         assert a.owned_blocks("session:0") == []
         assert a.free_blocks == a.total_blocks
+
+
+def _state(a):
+    """Everything an append can change, as comparable snapshots."""
+    tokens = {sid: a.sequence(sid).tokens for sid in a.block_tables()}
+    return a.block_tables(), a.refcounts(), a.free_block_ids(), tokens
+
+
+def _one_token_appends(a, seq_id, n):
+    """The reference: ``n`` one-token calls; MemoryError if one fails."""
+    consumed = False
+    try:
+        for _ in range(n):
+            consumed = a.append_token(seq_id) or consumed
+    except MemoryError:
+        return MemoryError
+    return consumed
+
+
+def _one_token_cost(a, seq_id):
+    """Blocks one more token for ``seq_id`` takes, on a copy of ``a``."""
+    trial = copy.deepcopy(a)
+    free = trial.free_blocks
+    try:
+        consumed = trial.append_token(seq_id)
+    except MemoryError:
+        return 1  # it needed a block the pool did not have
+    assert free - trial.free_blocks == int(consumed)
+    return int(consumed)
+
+
+# (op, which live sequence, token count); appends drawn twice as often,
+# and a small pool, so bulk appends into forks of part-filled tails and
+# MemoryErrors all occur.
+_PROGRAMS = st.lists(
+    st.tuples(
+        st.sampled_from(["allocate", "fork", "append", "append", "free"]),
+        st.integers(min_value=0, max_value=1000),
+        st.integers(min_value=0, max_value=23),
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+class TestBulkAppend:
+    """``append_token(s, n)`` is exactly ``n`` one-token calls."""
+
+    def test_bulk_into_shared_part_filled_tail(self):
+        a = allocator(total=12, block=4)
+        a.allocate(1, 6)  # tail block holds 2 of 4 tokens
+        a.fork(1, 2)
+        loop = copy.deepcopy(a)
+        assert a.append_token(2, 7) is True  # COW copy + 2 fresh blocks
+        assert _one_token_appends(loop, 2, 7) is True
+        assert _state(a) == _state(loop)
+        assert a.free_blocks == 12 - 2 - 3
+
+    def test_zero_is_a_noop(self):
+        a = allocator(total=4, block=4)
+        a.allocate(1, 6)
+        a.fork(1, 2)
+        before = _state(a)
+        assert a.append_token(2, 0) is False
+        assert _state(a) == before
+
+    def test_negative_rejected(self):
+        a = allocator()
+        a.allocate(1, 6)
+        before = _state(a)
+        with pytest.raises(ValueError):
+            a.append_token(1, -1)
+        assert _state(a) == before
+
+    def test_unsatisfiable_changes_nothing(self):
+        a = allocator(total=3, block=4)
+        a.allocate(1, 6)
+        a.fork(1, 2)
+        before = _state(a)
+        with pytest.raises(MemoryError):
+            a.append_token(2, 7)  # COW + 2 fresh > 1 free block
+        assert _state(a) == before
+
+    @settings(max_examples=200, deadline=None)
+    @given(_PROGRAMS)
+    def test_random_programs_match_one_token_calls(self, program):
+        a = allocator(total=12, block=4)
+        next_id = 0
+        for op, pick, tokens in program:
+            live = sorted(a.block_tables())
+            if op == "allocate" or not live:
+                if a.can_allocate(tokens):
+                    a.allocate(next_id, tokens)
+                    next_id += 1
+                continue
+            seq_id = live[pick % len(live)]
+            if op == "fork":
+                a.fork(seq_id, next_id)
+                next_id += 1
+            elif op == "free":
+                a.free(seq_id)
+            else:
+                before = _state(a)
+                loop = copy.deepcopy(a)
+                want = _one_token_appends(loop, seq_id, tokens)
+                if want is MemoryError:
+                    with pytest.raises(MemoryError):
+                        a.append_token(seq_id, tokens)
+                    assert _state(a) == before
+                else:
+                    assert a.append_token(seq_id, tokens) is want
+                    assert _state(a) == _state(loop)
+            live = sorted(a.block_tables())
+            query = live[pick % len(live):] if live else []
+            assert a.next_token_blocks(query) == sum(
+                _one_token_cost(a, sid) for sid in query
+            )

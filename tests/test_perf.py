@@ -2,6 +2,7 @@
 
 import copy
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from repro.perf import (
     suite_filename,
     write_results,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 RECORD_KEYS = {
     "suite", "case", "shape", "sparsity", "median_s", "mad_s",
@@ -97,6 +100,28 @@ class TestSuite:
         # fixture, so their result checksums must agree.
         by_case = {r["case"]: r["checksum"] for r in kernel_records}
         assert by_case["spinfer_spmm"] == by_case["flash_llm_spmm"]
+
+    def test_bit_exact_checksums_are_the_committed_ones(
+        self, kernel_records, runtime_records
+    ):
+        """Every ``bit_exact`` checksum equals the committed
+        ``BENCH_*.json`` record, the one record of these pins."""
+        problems = []
+        for records in (kernel_records, runtime_records):
+            suite = records[0]["suite"]
+            committed = load_results(str(ROOT / suite_filename(suite)))
+            pinned = {
+                c["case"]: c["checksum"]
+                for c in committed["cases"] if c["bit_exact"]
+            }
+            fresh = {r["case"]: r["checksum"] for r in records if r["bit_exact"]}
+            for case in sorted(set(pinned) | set(fresh)):
+                want, got = pinned.get(case, "missing"), fresh.get(case, "missing")
+                if want != got:
+                    problems.append(
+                        f"{suite}/{case}: committed {want} != fresh {got}"
+                    )
+        assert not problems, "\n".join(problems)
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
@@ -185,6 +210,24 @@ class TestRegressionGate:
         assert [(r.case, r.kind) for r in regs] == [("dropped", "missing")]
         assert any("new case" in n for n in notes)
 
+    def test_shape_change_is_its_own_regression(self):
+        base = _doc([_case("encode", checksum="aaa")])
+        fresh = _doc([_case("encode", median=50.0, checksum="zzz")])
+        fresh["cases"][0]["shape"] = [512, 512, 8]
+        regs, _ = compare_documents(base, fresh, tolerance=0.25)
+        assert [(r.case, r.kind) for r in regs] == [("encode", "shape")]
+        assert "[64, 64, 8]" in regs[0].detail
+        assert "[512, 512, 8]" in regs[0].detail
+
+    def test_quick_and_full_documents_refused(self):
+        quick = dict(_doc([_case("encode")]), quick=True)
+        full = dict(_doc([_case("encode")]), quick=False)
+        with pytest.raises(ValueError, match="quick"):
+            compare_documents(quick, full)
+        with pytest.raises(ValueError, match="quick"):
+            compare_documents(full, quick)
+        assert compare_documents(quick, copy.deepcopy(quick))[0] == []
+
     def test_negative_tolerance_rejected(self):
         with pytest.raises(ValueError):
             compare_documents(_doc([]), _doc([]), tolerance=-0.1)
@@ -262,6 +305,24 @@ class TestBenchCLI:
         ])
         assert rc == 1
         assert "REGRESSION [checksum]" in capsys.readouterr().out
+
+    def test_check_refuses_full_run_against_quick_baseline(
+        self, tmp_path, capsys
+    ):
+        main(["bench", "--quick", "--json",
+              "--output", str(tmp_path), "--repeats", "1"])
+        capsys.readouterr()
+        full = json.loads((tmp_path / "BENCH_runtime.json").read_text())
+        full["quick"] = False
+        full_path = tmp_path / "full" / "BENCH_runtime.json"
+        full_path.parent.mkdir()
+        full_path.write_text(json.dumps(full))
+        rc = main([
+            "bench", "--check", str(tmp_path / "BENCH_runtime.json"),
+            "--against", str(full_path),
+        ])
+        assert rc == 2
+        assert "refused" in capsys.readouterr().err
 
     def test_legacy_experiment_path_still_works(self, capsys):
         rc = main(["bench", "fig03"])
