@@ -10,7 +10,7 @@ headroom (TCA-BME weights), which admits a larger running batch.
 Run:  python examples/continuous_batching.py
 """
 
-from repro.bench import format_table
+from repro.bench.harness import format_table
 from repro.llm.serving import compare_frameworks, poisson_workload
 
 

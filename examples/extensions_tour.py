@@ -10,12 +10,13 @@ Run:  python examples/extensions_tour.py
 
 import numpy as np
 
-from repro.bench import format_table
-from repro.core import encode
+from repro.bench.harness import format_table
 from repro.core.quant import QuantizedTCABME
-from repro.gpu import RTX4090
+from repro.core.tca_bme import encode
 from repro.gpu.accelerators import ACCELERATORS, cross_accelerator_cr
-from repro.kernels import KernelDispatcher, SpMMProblem
+from repro.gpu.specs import RTX4090
+from repro.kernels.base import SpMMProblem
+from repro.kernels.dispatch import KernelDispatcher
 from repro.llm.offloading import plan_offload
 
 SPARSITY = 0.6

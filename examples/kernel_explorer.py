@@ -11,10 +11,12 @@ Run:  python examples/kernel_explorer.py [M] [K]
 
 import sys
 
-from repro.bench import format_table
+from repro.bench.harness import format_table
 from repro.formats.analytic import compression_ratio
-from repro.gpu import A6000, RTX4090, ci_gemm, ci_spmm, roofline_point
-from repro.kernels import KERNELS, SpMMProblem, make_kernel
+from repro.gpu.roofline import ci_gemm, ci_spmm, roofline_point
+from repro.gpu.specs import A6000, RTX4090
+from repro.kernels import KERNELS, make_kernel
+from repro.kernels.base import SpMMProblem
 
 DEFAULT_M, DEFAULT_K = 28672, 8192  # the paper's running example (LLaMA2-70B FFN)
 SPARSITY = 0.6

@@ -11,15 +11,12 @@ Run:  python examples/prune_and_compare_formats.py
 
 import numpy as np
 
-from repro.bench import format_table
-from repro.formats import FORMATS, encode_as
-from repro.pruning import (
-    magnitude_prune,
-    measured_sparsity,
-    sparsegpt_prune,
-    synthetic_activations,
-    wanda_prune,
-)
+from repro.bench.harness import format_table
+from repro.formats.registry import FORMATS, encode_as
+from repro.pruning.magnitude import magnitude_prune
+from repro.pruning.patterns import measured_sparsity
+from repro.pruning.sparsegpt import sparsegpt_prune
+from repro.pruning.wanda import synthetic_activations, wanda_prune
 
 M, K = 2048, 512  # a scaled-down FFN projection (fc2-like)
 SPARSITY = 0.6

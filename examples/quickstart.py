@@ -13,10 +13,11 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
-from repro.core import encode
-from repro.gpu import RTX4090
-from repro.kernels import SpMMProblem, make_kernel
-from repro.pruning import magnitude_prune
+from repro.core.tca_bme import encode
+from repro.gpu.specs import RTX4090
+from repro.kernels import make_kernel
+from repro.kernels.base import SpMMProblem
+from repro.pruning.magnitude import magnitude_prune
 
 M, K, N = 4096, 4096, 16  # one decode-phase linear layer
 SPARSITY = 0.6

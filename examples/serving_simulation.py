@@ -9,8 +9,8 @@ actually need once TCA-BME halves the weight footprint?
 Run:  python examples/serving_simulation.py
 """
 
-from repro.bench import format_table
-from repro.llm import InferenceConfig, simulate_inference
+from repro.bench.harness import format_table
+from repro.llm.inference import InferenceConfig, simulate_inference
 
 MODEL = "opt-13b"
 GPU = "RTX4090"

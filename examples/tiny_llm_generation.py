@@ -11,7 +11,7 @@ Run:  python examples/tiny_llm_generation.py
 
 import numpy as np
 
-from repro.bench import format_table
+from repro.bench.harness import format_table
 from repro.llm.functional_model import FunctionalTransformer, TinyConfig
 
 SPARSITY = 0.6

@@ -20,7 +20,3 @@ package reimplements the complete system in Python:
 """
 
 __version__ = "1.0.0"
-
-from . import core, formats, gpu, kernels, llm, pruning  # noqa: F401
-
-__all__ = ["core", "formats", "gpu", "kernels", "llm", "pruning", "__version__"]

@@ -43,149 +43,3 @@ rules into the shared :data:`~repro.analysis.findings.FAMILIES` /
 (``repro lint --list-rules`` prints the combined catalogue).  See
 docs/ANALYSIS.md for the rule catalogue with minimal failing examples.
 """
-
-from .abstract import AbstractResult, interpret, static_cycle_lower_bound
-from .builtin import (
-    builtin_formats,
-    builtin_pipeline_traces,
-    builtin_warp_programs,
-    check_all_builtin_programs,
-)
-from .dataflow import DefUse
-from .deploy_model import (
-    DeploymentSpec,
-    KVCachePlan,
-    effective_sparsity,
-    kv_plan_for_spec,
-    spec_kv_budget_bytes,
-    spec_kv_bytes_per_token,
-    spec_memory,
-)
-from .fault_lint import (
-    check_builtin_fault_artifacts,
-    lint_fault_outcome,
-    lint_recovery_policy,
-)
-from .fleet_lint import (
-    check_builtin_fleet_artifacts,
-    lint_autoscaler_policy,
-    lint_fleet_outcome,
-    lint_fleet_spec,
-)
-from .findings import (
-    FAMILIES,
-    RULES,
-    Finding,
-    Report,
-    Rule,
-    RuleFamily,
-    Severity,
-    ensure_all_registered,
-    reconcile_expected,
-    rule_table,
-)
-from .format_lint import lint_csr, lint_format, lint_tca_bme, lint_tiled_csl
-from .integrity_lint import (
-    check_builtin_integrity_artifacts,
-    lint_integrity_outcome,
-    lint_integrity_policy,
-)
-from .pipeline_lint import lint_pipeline_trace
-from .plan_lint import (
-    builtin_deployment_specs,
-    builtin_runtime_traces,
-    check_all_builtin_deployments,
-    lint_deployment,
-    lint_deployment_plan,
-    lint_disaggregated,
-    lint_kv_allocator,
-    lint_kv_plan,
-    lint_offload_plan,
-    lint_runtime_trace,
-)
-from .server_lint import (
-    check_builtin_server_artifacts,
-    lint_prefix_ownership,
-    lint_server_policy,
-    lint_token_stream,
-)
-from .schedule_lint import (
-    builtin_schedule_scenarios,
-    check_builtin_schedules,
-    dual_replay,
-)
-from .source_lint import (
-    check_source,
-    check_source_fixtures,
-    check_source_tree,
-    lint_source_file,
-    lint_source_text,
-)
-from .warp_lint import cross_check_with_simulator, lint_warp_program
-
-__all__ = [
-    "AbstractResult",
-    "DefUse",
-    "DeploymentSpec",
-    "FAMILIES",
-    "Finding",
-    "KVCachePlan",
-    "Report",
-    "Rule",
-    "RuleFamily",
-    "RULES",
-    "Severity",
-    "builtin_deployment_specs",
-    "builtin_formats",
-    "builtin_runtime_traces",
-    "builtin_pipeline_traces",
-    "builtin_schedule_scenarios",
-    "builtin_warp_programs",
-    "check_all_builtin_deployments",
-    "check_all_builtin_programs",
-    "check_builtin_fault_artifacts",
-    "check_builtin_fleet_artifacts",
-    "check_builtin_integrity_artifacts",
-    "check_builtin_schedules",
-    "check_builtin_server_artifacts",
-    "check_source",
-    "check_source_fixtures",
-    "check_source_tree",
-    "cross_check_with_simulator",
-    "dual_replay",
-    "effective_sparsity",
-    "ensure_all_registered",
-    "interpret",
-    "kv_plan_for_spec",
-    "lint_autoscaler_policy",
-    "lint_csr",
-    "lint_deployment",
-    "lint_deployment_plan",
-    "lint_disaggregated",
-    "lint_fault_outcome",
-    "lint_fleet_outcome",
-    "lint_fleet_spec",
-    "lint_format",
-    "lint_integrity_outcome",
-    "lint_integrity_policy",
-    "lint_kv_allocator",
-    "lint_kv_plan",
-    "lint_offload_plan",
-    "lint_pipeline_trace",
-    "lint_prefix_ownership",
-    "lint_recovery_policy",
-    "lint_runtime_trace",
-    "lint_server_policy",
-    "lint_source_file",
-    "lint_source_text",
-    "lint_tca_bme",
-    "lint_tiled_csl",
-    "lint_token_stream",
-    "lint_warp_program",
-    "reconcile_expected",
-    "rule_table",
-    "spec_kv_budget_bytes",
-    "spec_kv_bytes_per_token",
-    "spec_memory",
-    "static_cycle_lower_bound",
-]

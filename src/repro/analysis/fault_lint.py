@@ -236,7 +236,9 @@ def check_builtin_fault_artifacts(run_chaos: bool = True) -> Report:
         )
         report.checked += 1
     if run_chaos:
-        from ..llm.chaos import ChaosConfig, builtin_fault_plans, run_chaos as _run
+        from ..llm.chaos import ChaosConfig
+        from ..llm.chaos import run_chaos as _run
+        from ..runtime.faults import builtin_fault_plans
         from .plan_lint import lint_runtime_trace
 
         for plan in sorted(builtin_fault_plans()):

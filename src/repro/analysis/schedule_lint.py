@@ -173,7 +173,7 @@ def _disagg_scenario() -> Scenario:
             DisaggregatedConfig,
             build_disaggregated_runtime,
         )
-        from ..llm.serving import Request
+        from ..runtime.request import SessionRequest
 
         dcfg = DisaggregatedConfig(
             model="opt-13b",
@@ -188,7 +188,7 @@ def _disagg_scenario() -> Scenario:
         # Every request lands at t=0: the same-instant-arrival stressor
         # — one batch must form regardless of dispatch permutation.
         requests = [
-            Request(i, 0.0, dcfg.prompt_len, dcfg.output_len)
+            SessionRequest(i, 0.0, dcfg.prompt_len, dcfg.output_len)
             for i in range(dcfg.batch_size)
         ]
         return runtime.run(requests)

@@ -268,7 +268,7 @@ def check_builtin_server_artifacts(run_server: bool = True) -> Report:
     corrupted copies of its stream must trip Q003 — regression-testing
     the stream checker against known-bad orderings.
     """
-    from ..server import BROKEN_SERVER_POLICIES, SERVER_POLICIES
+    from ..server.admission import BROKEN_SERVER_POLICIES, SERVER_POLICIES
 
     report = Report()
     report.add_family("Q")
@@ -289,7 +289,7 @@ def check_builtin_server_artifacts(run_server: bool = True) -> Report:
     if run_server:
         from dataclasses import replace
 
-        from ..server import ServerConfig
+        from ..server.streaming import ServerConfig
         from ..server.streaming import run_server as _run
 
         server, _stats = _run(ServerConfig().quick())

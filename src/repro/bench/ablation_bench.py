@@ -29,7 +29,8 @@ from ..gpu.calibration import get_calibration
 from ..gpu.occupancy import occupancy
 from ..gpu.simulator import LaunchShape, Traffic, Work, simulate_kernel
 from ..gpu.specs import RTX4090
-from ..kernels import SpMMProblem, make_kernel
+from ..kernels import make_kernel
+from ..kernels.base import SpMMProblem
 from .harness import Experiment
 
 __all__ = [

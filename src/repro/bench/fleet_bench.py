@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import List
 
-from ..fleet import FleetConfig, fleet_report
+from ..fleet.planner import FleetConfig, fleet_report
 from .harness import Experiment
 
 __all__ = ["ext_fleet"]

@@ -10,7 +10,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..gpu.specs import RTX4090, GPUSpec
-from ..kernels import SpMMProblem, make_kernel
+from ..kernels import make_kernel
+from ..kernels.base import SpMMProblem
 from ..llm.models import kernel_matrix_zoo
 from .harness import Experiment, geomean
 

@@ -18,7 +18,7 @@ from ..gpu.calibration import get_calibration
 from ..gpu.occupancy import occupancy
 from ..gpu.pipeline import PipelineConfig, simulate_pipeline
 from ..gpu.specs import RTX4090, GPUSpec
-from ..kernels import SpMMProblem
+from ..kernels.base import SpMMProblem
 from .harness import Experiment
 
 __all__ = ["block_pipeline_config", "fig09_pipeline_schedule"]

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import List
 
-from ..server import ServerConfig, server_report
+from ..server.streaming import ServerConfig, server_report
 from .harness import Experiment
 
 __all__ = ["ext_server"]

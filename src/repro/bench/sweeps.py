@@ -12,7 +12,8 @@ import os
 from typing import List, Sequence
 
 from ..gpu.specs import GPUSpec, RTX4090
-from ..kernels import SpMMProblem, make_kernel
+from ..kernels import make_kernel
+from ..kernels.base import SpMMProblem
 from .harness import Experiment, geomean
 
 __all__ = ["kernel_sweep", "export_csv"]

@@ -35,44 +35,76 @@ import sys
 from functools import partial
 from typing import Callable, Dict, List, Optional
 
-from . import bench as bench_mod
-from .bench import format_table
+from .bench.ablation_bench import (
+    abl_grouptile_size,
+    abl_mma_shape,
+    abl_quantization,
+    abl_split_k,
+)
+from .bench.accuracy_bench import ext_accuracy
+from .bench.chaos_bench import ext_chaos
+from .bench.disagg_bench import ext_disaggregation
+from .bench.e2e_bench import (
+    fig02_breakdown,
+    fig13_e2e_rtx4090,
+    fig14_e2e_a6000,
+    fig15_time_breakdown,
+)
+from .bench.fleet_bench import ext_fleet
+from .bench.format_bench import fig03_compression, fig04_roofline
+from .bench.harness import format_table
+from .bench.integrity_bench import ext_integrity
+from .bench.kernel_bench import (
+    fig01_motivation,
+    fig10_kernel_sweep,
+    fig11_smat_comparison,
+    fig12_micro_metrics,
+    fig16_prefill,
+    tab01_ablation,
+)
+from .bench.memory_bench import ext_memory_walls
+from .bench.offload_bench import ext_offloading
+from .bench.pipeline_bench import fig09_pipeline_schedule
+from .bench.server_bench import ext_server
+from .bench.serving_bench import ext_serving, ext_serving_runtime
 from .gpu.specs import A6000, GPUS, get_gpu
-from .kernels import KERNELS, SpMMProblem, make_kernel
-from .llm import MODELS, InferenceConfig, simulate_inference
+from .kernels import KERNELS, make_kernel
+from .kernels.base import SpMMProblem
+from .llm.inference import InferenceConfig, simulate_inference
+from .llm.models import MODELS
 
 __all__ = ["main", "build_parser"]
 
 #: Experiment registry: id -> zero-argument callable.
 EXPERIMENTS: Dict[str, Callable] = {
-    "fig01": bench_mod.fig01_motivation,
-    "fig02": bench_mod.fig02_breakdown,
-    "fig03": bench_mod.fig03_compression,
-    "fig04": bench_mod.fig04_roofline,
-    "fig09": bench_mod.fig09_pipeline_schedule,
-    "fig10": bench_mod.fig10_kernel_sweep,
-    "fig10_a6000": partial(bench_mod.fig10_kernel_sweep, A6000),
-    "fig11": bench_mod.fig11_smat_comparison,
-    "fig12": bench_mod.fig12_micro_metrics,
-    "fig13": bench_mod.fig13_e2e_rtx4090,
-    "fig14": bench_mod.fig14_e2e_a6000,
-    "fig15": bench_mod.fig15_time_breakdown,
-    "fig16": bench_mod.fig16_prefill,
-    "tab01": bench_mod.tab01_ablation,
-    "abl_grouptile": bench_mod.abl_grouptile_size,
-    "abl_splitk": bench_mod.abl_split_k,
-    "abl_mma_shape": bench_mod.abl_mma_shape,
-    "abl_quant": bench_mod.abl_quantization,
-    "ext_chaos": bench_mod.ext_chaos,
-    "ext_integrity": bench_mod.ext_integrity,
-    "ext_server": bench_mod.ext_server,
-    "ext_serving": bench_mod.ext_serving,
-    "ext_serving_runtime": bench_mod.ext_serving_runtime,
-    "ext_disagg": bench_mod.ext_disaggregation,
-    "ext_fleet": bench_mod.ext_fleet,
-    "ext_accuracy": bench_mod.ext_accuracy,
-    "ext_offload": bench_mod.ext_offloading,
-    "ext_memory": bench_mod.ext_memory_walls,
+    "fig01": fig01_motivation,
+    "fig02": fig02_breakdown,
+    "fig03": fig03_compression,
+    "fig04": fig04_roofline,
+    "fig09": fig09_pipeline_schedule,
+    "fig10": fig10_kernel_sweep,
+    "fig10_a6000": partial(fig10_kernel_sweep, A6000),
+    "fig11": fig11_smat_comparison,
+    "fig12": fig12_micro_metrics,
+    "fig13": fig13_e2e_rtx4090,
+    "fig14": fig14_e2e_a6000,
+    "fig15": fig15_time_breakdown,
+    "fig16": fig16_prefill,
+    "tab01": tab01_ablation,
+    "abl_grouptile": abl_grouptile_size,
+    "abl_splitk": abl_split_k,
+    "abl_mma_shape": abl_mma_shape,
+    "abl_quant": abl_quantization,
+    "ext_chaos": ext_chaos,
+    "ext_integrity": ext_integrity,
+    "ext_server": ext_server,
+    "ext_serving": ext_serving,
+    "ext_serving_runtime": ext_serving_runtime,
+    "ext_disagg": ext_disaggregation,
+    "ext_fleet": ext_fleet,
+    "ext_accuracy": ext_accuracy,
+    "ext_offload": ext_offloading,
+    "ext_memory": ext_memory_walls,
 }
 
 #: Experiments accepting a GPU argument.
@@ -108,7 +140,7 @@ def _bench_perf(args: argparse.Namespace) -> int:
     import json as json_mod
     import os
 
-    from .perf import SUITES, run_suite, suite_filename, write_results
+    from .perf.suite import SUITES, run_suite, suite_filename, write_results
 
     progress = None if args.json else (lambda msg: print(f"[bench] {msg}"))
     documents = {}
@@ -162,12 +194,8 @@ def _bench_check(args: argparse.Namespace) -> int:
     """Gate fresh measurements against committed BENCH_*.json baselines."""
     import os
 
-    from .perf import (
-        compare_documents,
-        load_results,
-        render_regressions,
-        run_suite,
-    )
+    from .perf.regression import compare_documents, render_regressions
+    from .perf.suite import load_results, run_suite
 
     fresh_docs = {}
     if args.against:
@@ -244,7 +272,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     import numpy as np
 
     from .core.tca_bme import encode
-    from .formats import FORMATS, encode_as
+    from .formats.registry import FORMATS, encode_as
 
     rng = np.random.default_rng(args.seed)
     w = rng.standard_normal((args.m, args.k)).astype(np.float16)
@@ -300,7 +328,7 @@ def _load_serve_trace(path: str) -> list:
     """The ``serve --trace`` requests: a non-empty JSON list of objects
     with ``request_id``, ``arrival_s``, ``prompt_len`` and ``output_len``.
     Raises ValueError prefixed with the index of the record at fault."""
-    from .llm.serving import Request
+    from .runtime.request import SessionRequest
 
     with open(path) as fh:
         raw = json.load(fh)
@@ -313,7 +341,7 @@ def _load_serve_trace(path: str) -> list:
                 raise ValueError(
                     f"expected an object, got {type(record).__name__}"
                 )
-            req = Request(
+            req = SessionRequest(
                 request_id=int(record["request_id"]),
                 arrival_s=float(record["arrival_s"]),
                 prompt_len=int(record["prompt_len"]),
@@ -404,7 +432,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     audit_errors = 0
     if args.audit:
-        from .analysis import Severity, lint_runtime_trace
+        from .analysis.findings import Severity
+        from .analysis.plan_lint import lint_runtime_trace
 
         findings = lint_runtime_trace(stats.trace)
         audit_errors = sum(
@@ -452,7 +481,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_server(args: argparse.Namespace) -> int:
-    from .server import ServerConfig, server_report, server_report_json
+    from .server.streaming import ServerConfig, server_report, server_report_json
 
     cfg = ServerConfig(
         model=args.model,
@@ -505,7 +534,7 @@ def _cmd_server(args: argparse.Namespace) -> int:
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from .llm.chaos import ChaosConfig, chaos_report, chaos_report_json
-    from .runtime import FaultPlan
+    from .runtime.faults import FaultPlan
 
     try:
         fault_plan = None
@@ -563,7 +592,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_integrity(args: argparse.Namespace) -> int:
-    from .integrity import IntegrityConfig, integrity_report, integrity_report_json
+    from .integrity.harness import (
+        IntegrityConfig,
+        integrity_report,
+        integrity_report_json,
+    )
     from .llm.chaos import ChaosConfig
 
     try:
@@ -620,7 +653,7 @@ def _cmd_integrity(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    from .fleet import FleetConfig, fleet_report, fleet_report_json
+    from .fleet.planner import FleetConfig, fleet_report, fleet_report_json
 
     try:
         cfg = FleetConfig(
@@ -744,20 +777,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from .analysis import (
-        Report,
-        Severity,
-        check_all_builtin_deployments,
-        check_all_builtin_programs,
-        check_builtin_fault_artifacts,
-        check_builtin_fleet_artifacts,
-        check_builtin_integrity_artifacts,
-        check_builtin_schedules,
-        check_builtin_server_artifacts,
-        check_source,
-        ensure_all_registered,
-        rule_table,
-    )
+    from .analysis.builtin import check_all_builtin_programs
+    from .analysis.fault_lint import check_builtin_fault_artifacts
+    from .analysis.findings import Report, Severity, ensure_all_registered, rule_table
+    from .analysis.fleet_lint import check_builtin_fleet_artifacts
+    from .analysis.integrity_lint import check_builtin_integrity_artifacts
+    from .analysis.plan_lint import check_all_builtin_deployments
+    from .analysis.schedule_lint import check_builtin_schedules
+    from .analysis.server_lint import check_builtin_server_artifacts
+    from .analysis.source_lint import check_source
 
     if args.list_rules:
         ensure_all_registered()

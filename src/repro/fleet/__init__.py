@@ -7,56 +7,3 @@ fixtures (:mod:`~repro.fleet.autoscaler`), the event-driven elastic
 simulator (:mod:`~repro.fleet.simulator`), and the cost-vs-goodput
 capacity planner behind ``repro fleet`` (:mod:`~repro.fleet.planner`).
 """
-
-from .autoscaler import (
-    AUTOSCALER_POLICIES,
-    BROKEN_AUTOSCALER_POLICIES,
-    AutoscalerPolicy,
-    get_autoscaler_policy,
-    static_policy,
-)
-from .planner import (
-    FleetConfig,
-    fleet_report,
-    fleet_report_json,
-    pareto_frontier,
-    run_fleet_policy,
-)
-from .simulator import SLO_TTFT_S, FleetOutcome, FleetSimulator, ReplicaInfo
-from .spec import (
-    GPU_COST_PER_HOUR,
-    FleetSpec,
-    ReplicaClass,
-    builtin_fleet_specs,
-)
-from .traffic import (
-    TRAFFIC_SHAPES,
-    TrafficProfile,
-    builtin_traffic_profiles,
-    generate_sessions,
-)
-
-__all__ = [
-    "AUTOSCALER_POLICIES",
-    "BROKEN_AUTOSCALER_POLICIES",
-    "AutoscalerPolicy",
-    "get_autoscaler_policy",
-    "static_policy",
-    "FleetConfig",
-    "fleet_report",
-    "fleet_report_json",
-    "pareto_frontier",
-    "run_fleet_policy",
-    "SLO_TTFT_S",
-    "FleetOutcome",
-    "FleetSimulator",
-    "ReplicaInfo",
-    "GPU_COST_PER_HOUR",
-    "FleetSpec",
-    "ReplicaClass",
-    "builtin_fleet_specs",
-    "TRAFFIC_SHAPES",
-    "TrafficProfile",
-    "builtin_traffic_profiles",
-    "generate_sessions",
-]

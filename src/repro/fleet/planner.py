@@ -30,7 +30,7 @@ import json
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
-from ..runtime import builtin_fault_plans, get_recovery_policy
+from ..runtime.faults import builtin_fault_plans, get_recovery_policy
 from .autoscaler import AUTOSCALER_POLICIES, AutoscalerPolicy
 from .simulator import SLO_TTFT_S, FleetOutcome, FleetSimulator
 from .spec import FleetSpec, builtin_fleet_specs

@@ -38,8 +38,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..gpu.specs import get_gpu
 from ..llm.serving import ServingConfig, ServingSimulator
-from ..runtime import EventLoop, FaultPlan, RuntimeStats
+from ..runtime.core import EventLoop
 from ..runtime.events import EventKind
+from ..runtime.faults import FaultPlan
+from ..runtime.scheduler import RuntimeStats
 from ..server.admission import ServerPolicy
 from ..server.sessions import SessionSpec
 from ..server.streaming import StreamingServer

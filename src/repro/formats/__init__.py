@@ -5,63 +5,3 @@ Implements every format the paper compares against TCA-BME (Section
 2:4 + CSR decomposition, BSR (SMaT) and COO, plus closed-form storage
 models for sweeping compression ratios analytically.
 """
-
-from .analytic import (
-    ANALYTIC_STORAGE,
-    compression_ratio,
-    expected_nnz,
-    storage_bsr,
-    storage_csr,
-    storage_optimal,
-    storage_sparta,
-    storage_tca_bme,
-    storage_tiled_csl,
-)
-from .base import SparseFormat, dense_bytes
-from .bsr import BSRMatrix, bsr_storage_bytes
-from .conversion import (
-    coords_to_storage_position,
-    csr_to_tca_bme,
-    storage_position_to_coords,
-    tca_bme_to_csr,
-    tiled_csl_to_tca_bme,
-)
-from .coo import COOMatrix, coo_storage_bytes
-from .csr import CSRMatrix, csr_storage_bytes
-from .registry import FORMATS, TCABMEFormat, encode_as, get_format
-from .sparta import SparTAMatrix, expected_residual_nnz, sparta_storage_bytes
-from .tiled_csl import TiledCSLMatrix, tiled_csl_storage_bytes
-
-__all__ = [
-    "ANALYTIC_STORAGE",
-    "BSRMatrix",
-    "COOMatrix",
-    "CSRMatrix",
-    "FORMATS",
-    "SparTAMatrix",
-    "SparseFormat",
-    "TCABMEFormat",
-    "TiledCSLMatrix",
-    "bsr_storage_bytes",
-    "compression_ratio",
-    "coords_to_storage_position",
-    "csr_to_tca_bme",
-    "storage_position_to_coords",
-    "tca_bme_to_csr",
-    "tiled_csl_to_tca_bme",
-    "coo_storage_bytes",
-    "csr_storage_bytes",
-    "dense_bytes",
-    "encode_as",
-    "expected_nnz",
-    "expected_residual_nnz",
-    "get_format",
-    "sparta_storage_bytes",
-    "storage_bsr",
-    "storage_csr",
-    "storage_optimal",
-    "storage_sparta",
-    "storage_tca_bme",
-    "storage_tiled_csl",
-    "tiled_csl_storage_bytes",
-]

@@ -20,44 +20,7 @@ but served anyway, quarantine that can never trigger, verification
 modelled as free, and trace/counter conservation.
 """
 
-from .abft import (
-    IntegrityError,
-    output_colsum_gap,
-    verification_cost_frac,
-    verification_flops,
-    verify_output,
-    weight_checksum,
-)
-from .harness import (
-    SDC_DISAGG_PLANS,
-    SDC_ROUTER_PLANS,
-    IntegrityConfig,
-    integrity_report,
-    integrity_report_json,
-    run_integrity,
-)
-from .policy import (
-    BROKEN_INTEGRITY_POLICIES,
-    INTEGRITY_POLICIES,
-    IntegrityPolicy,
-    get_integrity_policy,
-)
+# perfbench's workloads import this from the package itself.
+from .policy import INTEGRITY_POLICIES
 
-__all__ = [
-    "IntegrityError",
-    "weight_checksum",
-    "output_colsum_gap",
-    "verify_output",
-    "verification_flops",
-    "verification_cost_frac",
-    "IntegrityPolicy",
-    "INTEGRITY_POLICIES",
-    "BROKEN_INTEGRITY_POLICIES",
-    "get_integrity_policy",
-    "IntegrityConfig",
-    "SDC_ROUTER_PLANS",
-    "SDC_DISAGG_PLANS",
-    "run_integrity",
-    "integrity_report",
-    "integrity_report_json",
-]
+__all__ = ["INTEGRITY_POLICIES"]

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
 from ..llm.chaos import PROMPT_LEN, ChaosConfig, run_chaos
-from ..runtime import RuntimeStats
+from ..runtime.scheduler import RuntimeStats
 from .policy import INTEGRITY_POLICIES, IntegrityPolicy
 
 __all__ = [

@@ -7,32 +7,15 @@ GPU.  ``KERNELS`` maps the names used in the paper's figures to factories.
 
 from typing import Callable, Dict
 
-from .base import SpMMKernel, SpMMProblem, choose_split_k
+# The one init with code of its own: KERNELS and make_kernel use these.
+from .base import SpMMKernel
 from .cublas import CuBLASKernel
 from .cusparse import CuSparseKernel
-from .dispatch import DispatchDecision, KernelDispatcher
 from .flash_llm import FlashLLMKernel
 from .smat import SMaTKernel
 from .sparta_kernel import SparTAKernel
 from .spinfer import SpInferKernel
 from .sputnik import SputnikKernel
-
-__all__ = [
-    "KERNELS",
-    "DispatchDecision",
-    "KernelDispatcher",
-    "CuBLASKernel",
-    "CuSparseKernel",
-    "FlashLLMKernel",
-    "SMaTKernel",
-    "SpInferKernel",
-    "SpMMKernel",
-    "SpMMProblem",
-    "SparTAKernel",
-    "SputnikKernel",
-    "choose_split_k",
-    "make_kernel",
-]
 
 #: Kernel factories keyed by the names the paper's figures use.
 KERNELS: Dict[str, Callable[[], SpMMKernel]] = {

@@ -16,6 +16,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from ..gpu.simulator import KernelProfile
 from ..gpu.specs import GPUSpec, RTX4090
+from . import make_kernel
 from .base import SpMMKernel, SpMMProblem
 
 __all__ = ["DispatchDecision", "KernelDispatcher"]
@@ -64,8 +65,6 @@ class KernelDispatcher:
         names = list(candidates)
         if dense_weights_available and "cublas_tc" not in names:
             names.append("cublas_tc")
-        from . import make_kernel  # deferred: avoids a package cycle
-
         self._kernels: Dict[str, SpMMKernel] = {
             name: make_kernel(name) for name in names
         }

@@ -23,7 +23,9 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from ..pruning import magnitude_prune, sparsegpt_prune, wanda_prune
+from ..pruning.magnitude import magnitude_prune
+from ..pruning.sparsegpt import sparsegpt_prune
+from ..pruning.wanda import wanda_prune
 from .functional_model import FunctionalTransformer, TinyConfig
 
 __all__ = [

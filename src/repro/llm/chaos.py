@@ -21,15 +21,16 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..runtime import (
+from ..runtime.faults import (
     RECOVERY_POLICIES,
     FaultPlan,
     FaultTolerantRuntime,
-    RuntimeStats,
     builtin_fault_plans,
     get_recovery_policy,
 )
-from .serving import Request, poisson_workload, replica_pools
+from ..runtime.request import SessionRequest
+from ..runtime.scheduler import RuntimeStats
+from .serving import poisson_workload, replica_pools
 
 __all__ = [
     "ChaosConfig",
@@ -92,7 +93,7 @@ class ChaosConfig:
         return replace(self, num_requests=12, output_len=64)
 
 
-def _workload(cfg: ChaosConfig) -> List[Request]:
+def _workload(cfg: ChaosConfig) -> List[SessionRequest]:
     return poisson_workload(
         cfg.num_requests,
         cfg.arrival_rate,
@@ -158,7 +159,7 @@ def _run_disagg(
         integrity=integrity,
     )
     requests = [
-        Request(i, 0.0, dcfg.prompt_len, dcfg.output_len)
+        SessionRequest(i, 0.0, dcfg.prompt_len, dcfg.output_len)
         for i in range(dcfg.batch_size)
     ]
     return runtime.run(requests)
@@ -171,7 +172,7 @@ def run_chaos(
 
     ``loop`` lets the H002 dual replay supply an
     :class:`~repro.runtime.core.EventLoop` with a reversed tie-break.
-    ``integrity`` (an :class:`~repro.integrity.IntegrityPolicy`, or
+    ``integrity`` (an :class:`~repro.integrity.policy.IntegrityPolicy`, or
     None) switches on checksum verification and quarantine routing —
     None is bit-identical to the pre-integrity runtime.
     """

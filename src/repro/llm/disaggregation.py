@@ -30,7 +30,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..gpu.specs import get_gpu
-from ..runtime import DisaggregatedRuntime, GPUPool, RuntimeStats
+from ..runtime.core import GPUPool
+from ..runtime.request import SessionRequest
+from ..runtime.scheduler import DisaggregatedRuntime, RuntimeStats
 from .inference import InferenceConfig, InferenceEngine, PhaseBreakdown
 from .memory import kv_bytes_per_token
 from .models import get_model
@@ -199,11 +201,9 @@ def simulate_disaggregated(
     cfg: DisaggregatedConfig, snapshot_every: int = 0
 ) -> DisaggregatedResult:
     """Prefill on pool A, migrate KV, decode on pool B."""
-    from ..runtime.request import SessionRequest as Request
-
     runtime = build_disaggregated_runtime(cfg, snapshot_every=snapshot_every)
-    requests: List[Request] = [
-        Request(
+    requests: List[SessionRequest] = [
+        SessionRequest(
             request_id=i,
             arrival_s=0.0,
             prompt_len=cfg.prompt_len,

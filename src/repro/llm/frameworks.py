@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from ..kernels import SpMMKernel, make_kernel
+from ..kernels import make_kernel
+from ..kernels.base import SpMMKernel
 
 __all__ = ["FrameworkPreset", "FRAMEWORKS", "get_framework"]
 

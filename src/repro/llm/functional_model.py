@@ -28,7 +28,8 @@ from ..core.tca_bme import encode
 from ..formats.tiled_csl import TiledCSLMatrix
 from ..kernels.flash_llm import FlashLLMKernel
 from ..kernels.spinfer import SpInferKernel
-from ..pruning import magnitude_prune, wanda_prune
+from ..pruning.magnitude import magnitude_prune
+from ..pruning.wanda import wanda_prune
 
 __all__ = ["TinyConfig", "FunctionalTransformer"]
 

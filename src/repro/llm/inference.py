@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..gpu.specs import GPUSpec, get_gpu
-from ..kernels import SpMMProblem
+from ..kernels.base import SpMMProblem
 from .frameworks import FrameworkPreset, get_framework
 from .memory import MemoryBreakdown, estimate_memory
 from .models import ModelConfig, get_model

@@ -34,13 +34,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..gpu.specs import get_gpu
-from ..runtime import ContinuousBatchingScheduler, GPUPool, RuntimeStats
+from ..runtime.core import GPUPool
 from ..runtime.request import SessionRequest
+from ..runtime.scheduler import ContinuousBatchingScheduler, RuntimeStats
 from .inference import InferenceConfig, InferenceEngine
 from .memory import kv_budget_bytes, kv_bytes_per_token
 
 __all__ = [
-    "Request",
     "ServingConfig",
     "ServingSimulator",
     "compare_frameworks",
@@ -49,19 +49,13 @@ __all__ = [
     "replica_pools",
 ]
 
-#: The request model moved to :class:`repro.runtime.request.
-#: SessionRequest` (one home for the whole lifecycle, session-aware);
-#: ``Request`` stays as the serving-layer name for it.
-Request = SessionRequest
-
-
 def poisson_workload(
     num_requests: int,
     arrival_rate: float,
     prompt_len: int = 64,
     output_len: int = 128,
     seed: int = 0,
-) -> List[Request]:
+) -> List[SessionRequest]:
     """Open-loop Poisson arrivals with fixed prompt/output lengths."""
     import numpy as np
 
@@ -71,7 +65,7 @@ def poisson_workload(
     gaps = rng.exponential(1.0 / arrival_rate, size=num_requests)
     arrivals = np.cumsum(gaps)
     return [
-        Request(
+        SessionRequest(
             request_id=i,
             arrival_s=float(arrivals[i]),
             prompt_len=prompt_len,
@@ -87,7 +81,7 @@ def mixed_workload(
     output_lens: Sequence[int] = (32, 128, 512),
     prompt_len: int = 64,
     seed: int = 0,
-) -> List[Request]:
+) -> List[SessionRequest]:
     """Poisson arrivals with output lengths drawn from a discrete mix —
     the heterogeneous traffic where scheduling policy starts to matter."""
     import numpy as np
@@ -226,7 +220,7 @@ class ServingSimulator:
             snapshot_every=cfg.snapshot_every,
         )
 
-    def run(self, requests: List[Request], loop=None) -> RuntimeStats:
+    def run(self, requests: List[SessionRequest], loop=None) -> RuntimeStats:
         """Simulate the trace to completion on the event runtime.
 
         ``loop`` lets the H002 dual replay supply an
@@ -236,7 +230,7 @@ class ServingSimulator:
 
     # ---- legacy baseline -------------------------------------------------------------
 
-    def run_legacy(self, requests: List[Request]) -> RuntimeStats:
+    def run_legacy(self, requests: List[SessionRequest]) -> RuntimeStats:
         """The historical hand-rolled loop, kept as the translation-
         validation baseline for the event runtime.
 
@@ -259,8 +253,8 @@ class ServingSimulator:
             (r for r in requests if r.request_id not in reject_ids),
             key=lambda r: r.arrival_s,
         )
-        running: List[Request] = []
-        completed: List[Request] = []
+        running: List[SessionRequest] = []
+        completed: List[SessionRequest] = []
         now = 0.0
         peak_batch = 0
         iterations = 0
@@ -299,7 +293,7 @@ class ServingSimulator:
             now += step.total_s
             iterations += 1
 
-            still_running: List[Request] = []
+            still_running: List[SessionRequest] = []
             for r in running:
                 r.generated += 1
                 if r.first_token_s is None:
@@ -341,7 +335,7 @@ def replica_pools(
 
 
 def compare_frameworks(
-    workload: List[Request],
+    workload: List[SessionRequest],
     model: str = "opt-13b",
     gpu: str = "RTX4090",
     num_gpus: int = 1,

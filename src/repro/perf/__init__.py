@@ -12,30 +12,3 @@ tolerance) and functional regressions (bit-exact checksums).
 
 See docs/PERFORMANCE.md for the JSON schema and the refresh workflow.
 """
-
-from .regression import Regression, compare_documents, render_regressions
-from .suite import (
-    BENCH_SCHEMA,
-    SUITES,
-    load_results,
-    run_suite,
-    suite_filename,
-    write_results,
-)
-from .timer import Measurement, checksum_arrays, checksum_ints, measure
-
-__all__ = [
-    "BENCH_SCHEMA",
-    "Measurement",
-    "Regression",
-    "SUITES",
-    "checksum_arrays",
-    "checksum_ints",
-    "compare_documents",
-    "load_results",
-    "measure",
-    "render_regressions",
-    "run_suite",
-    "suite_filename",
-    "write_results",
-]

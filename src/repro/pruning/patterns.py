@@ -137,7 +137,7 @@ def measured_sparsity(matrix: np.ndarray) -> float:
 def block_occupancy(matrix: np.ndarray, block: int = 16) -> float:
     """Fraction of ``block x block`` tiles containing any non-zero.
 
-    Feeds :class:`repro.kernels.SpMMProblem.block_occupancy` for the SMaT
+    Feeds :class:`repro.kernels.base.SpMMProblem.block_occupancy` for the SMaT
     comparison on clustered matrices.
     """
     matrix = np.asarray(matrix)

@@ -24,63 +24,7 @@ See docs/RUNTIME.md for the event loop contract, the scheduler modes
 and the trace format.
 """
 
-from .core import EventLoop, GPUPool
-from .events import EventKind, TraceEvent
-from .faults import (
-    ALL_FAULT_KINDS,
-    BROKEN_RECOVERY_POLICIES,
-    RECOVERY_POLICIES,
-    SILENT_FAULT_KINDS,
-    FaultEvent,
-    FaultInjector,
-    FaultKind,
-    FaultPlan,
-    FaultTolerantRuntime,
-    RecoveryPolicy,
-    builtin_fault_plans,
-    get_recovery_policy,
-)
-from .policies import POLICIES, AdmissionPolicy, FCFSPolicy, SJFPolicy, get_policy
-from .request import SessionRequest, TokenEvent, TokenStream
-from .scheduler import (
-    PREFILL_MODES,
-    ContinuousBatchingScheduler,
-    DisaggregatedRuntime,
-    RuntimeStats,
-    SeqState,
-)
-from .trace import KVSnapshot, RuntimeTrace
+# perfbench's workloads import these three from the package itself.
+from .faults import FaultTolerantRuntime, builtin_fault_plans, get_recovery_policy
 
-__all__ = [
-    "EventLoop",
-    "GPUPool",
-    "EventKind",
-    "TraceEvent",
-    "SessionRequest",
-    "TokenEvent",
-    "TokenStream",
-    "POLICIES",
-    "AdmissionPolicy",
-    "FCFSPolicy",
-    "SJFPolicy",
-    "get_policy",
-    "PREFILL_MODES",
-    "ContinuousBatchingScheduler",
-    "DisaggregatedRuntime",
-    "RuntimeStats",
-    "SeqState",
-    "KVSnapshot",
-    "RuntimeTrace",
-    "FaultKind",
-    "ALL_FAULT_KINDS",
-    "SILENT_FAULT_KINDS",
-    "FaultEvent",
-    "FaultPlan",
-    "FaultInjector",
-    "FaultTolerantRuntime",
-    "RecoveryPolicy",
-    "RECOVERY_POLICIES",
-    "BROKEN_RECOVERY_POLICIES",
-    "builtin_fault_plans",
-    "get_recovery_policy",
-]
+__all__ = ["FaultTolerantRuntime", "builtin_fault_plans", "get_recovery_policy"]

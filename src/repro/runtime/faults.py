@@ -307,18 +307,13 @@ class FaultPlan:
 RECOVERY_MODES = ("fail_fast", "retry", "reroute")
 
 
-# Backoff jitter is a pure integer hash of (request_id, attempt) — see
-# det_hash01's docstring for why it must never consume a shared RNG.
-_hash01 = det_hash01
-
-
 @dataclass(frozen=True)
 class RecoveryPolicy:
     """What the serving layer does when a fault takes a request down.
 
     Deliberately constructible in BROKEN configurations (zero backoff,
     unbounded budgets, hair-trigger deadlines): judging a policy is the
-    R-rule linter's job (:func:`repro.analysis.lint_recovery_policy`),
+    R-rule linter's job (:func:`repro.analysis.fault_lint.lint_recovery_policy`),
     not the constructor's.
     """
 
@@ -347,7 +342,7 @@ class RecoveryPolicy:
         base = self.backoff_base_s * self.backoff_factor ** max(
             attempt - 1, 0
         )
-        jitter = 1.0 + self.jitter_frac * (2.0 * _hash01(key, attempt) - 1.0)
+        jitter = 1.0 + self.jitter_frac * (2.0 * det_hash01(key, attempt) - 1.0)
         return max(base * jitter, 0.0)
 
     def to_dict(self) -> Dict:
@@ -635,7 +630,7 @@ class FaultTolerantRuntime:
         if len({p.name for p in pools}) != len(pools):
             raise ValueError("pool names must be unique")
         self.recovery = recovery
-        #: Optional :class:`repro.integrity.IntegrityPolicy` (duck-
+        #: Optional :class:`repro.integrity.policy.IntegrityPolicy` (duck-
         #: typed to keep the runtime layer import-free of the integrity
         #: package).  None ⇒ no tagging, no verification, no quarantine
         #: — bit-identical to the pre-integrity runtime.

@@ -9,8 +9,7 @@ for what is really a runtime concept.  This module is the single home:
 * :class:`SessionRequest` — one generation request, optionally part of
   a multi-turn *session*.  The one-shot fields (and their order) are
   exactly the legacy ``Request``'s, so positional construction and the
-  perf suite's field resets keep working; ``Request`` remains available
-  as an alias from :mod:`repro.llm.serving`.  Session fields default to
+  perf suite's field resets keep working.  Session fields default to
   "not a session" and change nothing unless a server layer sets them.
 * :class:`TokenEvent` — one streamed decode token, emitted by the
   scheduler and flushed at end-of-instant through

@@ -239,7 +239,7 @@ class ContinuousBatchingScheduler:
         #: session manager forks the sequence into a session-owned
         #: prefix there, so the blocks survive under refcount.
         self.retain_kv = None
-        #: Optional :class:`repro.integrity.IntegrityPolicy` (duck-
+        #: Optional :class:`repro.integrity.policy.IntegrityPolicy` (duck-
         #: typed — the runtime layer never imports the integrity
         #: package).  None ⇒ no tagging, no verification, no modelled
         #: check cost: bit-identical to the pre-integrity scheduler.

@@ -18,45 +18,3 @@ The layers, bottom-up:
 See docs/RUNTIME.md (session lifecycle) and docs/TUTORIAL.md (the
 two-turn walkthrough).
 """
-
-from .admission import (
-    BROKEN_SERVER_POLICIES,
-    SERVER_POLICIES,
-    AdmissionGate,
-    ServerPolicy,
-    get_server_policy,
-)
-from .sessions import (
-    SessionManager,
-    SessionPrefix,
-    SessionSpec,
-    TurnSpec,
-    session_workload,
-)
-from .streaming import (
-    ServerConfig,
-    StreamingServer,
-    build_server,
-    run_server,
-    server_report,
-    server_report_json,
-)
-
-__all__ = [
-    "ServerPolicy",
-    "SERVER_POLICIES",
-    "BROKEN_SERVER_POLICIES",
-    "AdmissionGate",
-    "get_server_policy",
-    "TurnSpec",
-    "SessionSpec",
-    "SessionPrefix",
-    "SessionManager",
-    "session_workload",
-    "ServerConfig",
-    "StreamingServer",
-    "build_server",
-    "run_server",
-    "server_report",
-    "server_report_json",
-]

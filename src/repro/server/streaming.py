@@ -36,15 +36,14 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..llm.serving import replica_pools
-from ..runtime import (
+from ..runtime.faults import (
     FaultPlan,
     FaultTolerantRuntime,
-    RuntimeStats,
-    SessionRequest,
-    TokenStream,
     builtin_fault_plans,
     get_recovery_policy,
 )
+from ..runtime.request import SessionRequest, TokenStream
+from ..runtime.scheduler import RuntimeStats
 from .admission import SERVER_POLICIES, AdmissionGate, ServerPolicy
 from .sessions import SessionManager, SessionSpec, session_workload
 

@@ -10,7 +10,8 @@ from repro.llm.accuracy import (
     top1_agreement,
 )
 from repro.llm.functional_model import FunctionalTransformer, TinyConfig
-from repro.pruning import magnitude_prune, synthetic_activations, wanda_prune
+from repro.pruning.magnitude import magnitude_prune
+from repro.pruning.wanda import synthetic_activations, wanda_prune
 
 
 class TestLayerError:

@@ -8,7 +8,8 @@ import pytest
 class TestReport:
     def test_generate_report_subset(self, tmp_path, monkeypatch):
         """Run the report over a small experiment subset."""
-        from repro.bench import fig03_compression, tab01_ablation
+        from repro.bench.format_bench import fig03_compression
+        from repro.bench.kernel_bench import tab01_ablation
         from repro.bench.report import generate_report
 
         text = generate_report(
@@ -21,7 +22,8 @@ class TestReport:
     def test_misspelled_anchor_raises(self, monkeypatch):
         """A headline row cannot silently vanish: an anchor naming a
         metric its experiment lacks fails, listing the real ones."""
-        from repro.bench import fig03_compression, report
+        from repro.bench import report
+        from repro.bench.format_bench import fig03_compression
 
         monkeypatch.setitem(
             report.PAPER_ANCHORS, "fig03",
@@ -32,12 +34,11 @@ class TestReport:
 
     def test_write_report(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        from repro.bench import fig03_compression
+        import repro.cli as cli
+        from repro.bench.format_bench import fig03_compression
         from repro.bench.report import write_report
 
         # Patch the registry to keep the test fast.
-        import repro.cli as cli
-
         monkeypatch.setattr(cli, "EXPERIMENTS", {"fig03": fig03_compression})
         path = write_report()
         assert path == str(Path("results") / "REPORT.md")

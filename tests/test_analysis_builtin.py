@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.analysis import (
+from repro.analysis.builtin import check_all_builtin_programs
+from repro.analysis.findings import (
     FAMILIES,
     RULES,
     Finding,
     Report,
     Severity,
-    check_all_builtin_programs,
     ensure_all_registered,
     rule_table,
 )
@@ -94,7 +94,7 @@ class TestBuiltinSweep:
         assert report.checked > 30  # programs + traces + formats
 
     def test_sweep_covers_all_three_layers(self):
-        from repro.analysis import (
+        from repro.analysis.builtin import (
             builtin_formats,
             builtin_pipeline_traces,
             builtin_warp_programs,
@@ -124,10 +124,10 @@ class TestLintCommand:
             r.extend([Finding("W007", "seeded redundant popcount")])
             return r
 
-        import repro.analysis
+        import repro.analysis.builtin
 
         monkeypatch.setattr(
-            repro.analysis, "check_all_builtin_programs", broken
+            repro.analysis.builtin, "check_all_builtin_programs", broken
         )
         rc = cli_mod.main(["lint", "--all-builtin"])
         assert rc == 1

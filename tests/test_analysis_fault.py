@@ -2,21 +2,20 @@
 
 import pytest
 
-from repro.analysis import (
-    Severity,
+from repro.analysis.fault_lint import (
+    MAX_SANE_RETRIES,
     check_builtin_fault_artifacts,
     lint_fault_outcome,
     lint_recovery_policy,
 )
-from repro.analysis.fault_lint import MAX_SANE_RETRIES
-from repro.analysis.findings import reconcile_expected
-from repro.llm.serving import Request
-from repro.runtime import (
+from repro.analysis.findings import Severity, reconcile_expected
+from repro.runtime.faults import (
     BROKEN_RECOVERY_POLICIES,
     RECOVERY_POLICIES,
     RecoveryPolicy,
-    RuntimeStats,
 )
+from repro.runtime.request import SessionRequest
+from repro.runtime.scheduler import RuntimeStats
 
 
 def rule_ids(findings):
@@ -76,7 +75,7 @@ class TestFaultOutcomeLint:
 
     @staticmethod
     def done(rid, out=4):
-        r = Request(rid, 0.0, prompt_len=8, output_len=out)
+        r = SessionRequest(rid, 0.0, prompt_len=8, output_len=out)
         r.generated = out
         r.finish_s = 1.0
         return r

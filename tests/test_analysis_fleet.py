@@ -2,24 +2,22 @@
 
 import pytest
 
-from repro.analysis import (
-    Severity,
+from repro.analysis.findings import FAMILIES, Severity, reconcile_expected, rule_table
+from repro.analysis.fleet_lint import (
+    MAX_SANE_REPLICAS,
     check_builtin_fleet_artifacts,
     lint_autoscaler_policy,
     lint_fleet_outcome,
     lint_fleet_spec,
 )
-from repro.analysis.findings import FAMILIES, reconcile_expected, rule_table
-from repro.analysis.fleet_lint import MAX_SANE_REPLICAS
-from repro.fleet import (
+from repro.fleet.autoscaler import (
     AUTOSCALER_POLICIES,
     BROKEN_AUTOSCALER_POLICIES,
     AutoscalerPolicy,
-    FleetConfig,
-    builtin_fleet_specs,
-    run_fleet_policy,
     static_policy,
 )
+from repro.fleet.planner import FleetConfig, run_fleet_policy
+from repro.fleet.spec import builtin_fleet_specs
 
 
 def rule_ids(findings):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis import lint_format
+from repro.analysis.format_lint import lint_format
 from repro.core.tca_bme import encode
 from repro.formats.csr import CSRMatrix
 from repro.formats.tiled_csl import TiledCSLMatrix

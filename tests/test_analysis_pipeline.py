@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.analysis import lint_pipeline_trace
+from repro.analysis.pipeline_lint import lint_pipeline_trace
 from repro.gpu.pipeline import PipelineConfig, TaskEvent, simulate_pipeline
 
 

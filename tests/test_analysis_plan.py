@@ -14,33 +14,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import (
+from repro.analysis.deploy_model import (
     DeploymentSpec,
     KVCachePlan,
-    Severity,
+    kv_plan_for_spec,
+    spec_kv_budget_bytes,
+    spec_kv_bytes_per_token,
+)
+from repro.analysis.findings import Severity
+from repro.analysis.plan_lint import (
     builtin_deployment_specs,
     check_all_builtin_deployments,
-    kv_plan_for_spec,
     lint_deployment,
     lint_deployment_plan,
     lint_disaggregated,
     lint_kv_allocator,
     lint_kv_plan,
     lint_offload_plan,
-    spec_kv_budget_bytes,
-    spec_kv_bytes_per_token,
 )
 from repro.cli import main
-from repro.llm import (
-    DisaggregatedConfig,
-    InferenceConfig,
-    KVBlockAllocator,
-    OffloadPlan,
-    best_batch,
-    get_model,
-    simulate_inference,
-)
-from repro.llm.offloading import layer_bytes, plan_offload
+from repro.llm.disaggregation import DisaggregatedConfig
+from repro.llm.inference import InferenceConfig, simulate_inference
+from repro.llm.kv_cache import KVBlockAllocator
+from repro.llm.models import get_model
+from repro.llm.offloading import OffloadPlan, layer_bytes, plan_offload
+from repro.llm.planning import best_batch
 
 
 def rule_ids(findings):

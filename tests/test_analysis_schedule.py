@@ -2,14 +2,12 @@
 
 import pytest
 
-from repro.analysis import (
-    Severity,
-    check_builtin_schedules,
-    dual_replay,
-)
+from repro.analysis.findings import Severity
 from repro.analysis.schedule_lint import (
     BROKEN_SCHEDULES,
     builtin_schedule_scenarios,
+    check_builtin_schedules,
+    dual_replay,
 )
 
 

@@ -2,21 +2,16 @@
 
 import pytest
 
-from repro.analysis import (
-    FAMILIES,
-    Severity,
+from repro.analysis.findings import FAMILIES, Severity
+from repro.analysis.server_lint import (
     check_builtin_server_artifacts,
     lint_prefix_ownership,
     lint_server_policy,
     lint_token_stream,
 )
 from repro.llm.kv_cache import KVBlockAllocator
-from repro.runtime import TokenEvent
-from repro.server import (
-    BROKEN_SERVER_POLICIES,
-    SERVER_POLICIES,
-    ServerPolicy,
-)
+from repro.runtime.request import TokenEvent
+from repro.server.admission import BROKEN_SERVER_POLICIES, SERVER_POLICIES, ServerPolicy
 
 
 def rule_ids(findings):

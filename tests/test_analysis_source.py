@@ -2,15 +2,14 @@
 
 import pytest
 
-from repro.analysis import (
-    Severity,
+from repro.analysis.findings import Severity, reconcile_expected
+from repro.analysis.fixtures_source import EXPECTED
+from repro.analysis.source_lint import (
     check_source,
     check_source_fixtures,
     check_source_tree,
     lint_source_text,
-    reconcile_expected,
 )
-from repro.analysis.fixtures_source import EXPECTED
 
 
 def rule_ids(findings):
@@ -149,8 +148,9 @@ class TestFixtures:
         "name", sorted(n for n, exp in EXPECTED.items() if exp)
     )
     def test_each_broken_fixture_trips_its_rules(self, name):
-        import repro.analysis.fixtures_source as pkg
         from pathlib import Path
+
+        import repro.analysis.fixtures_source as pkg
 
         path = Path(pkg.__file__).parent / f"{name}.py"
         assert set(EXPECTED[name]) <= set(
@@ -158,8 +158,9 @@ class TestFixtures:
         )
 
     def test_clean_reference_is_silent(self):
-        import repro.analysis.fixtures_source as pkg
         from pathlib import Path
+
+        import repro.analysis.fixtures_source as pkg
 
         path = Path(pkg.__file__).parent / "clean_reference.py"
         assert lint_source_text(path.read_text()) == []

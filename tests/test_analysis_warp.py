@@ -5,13 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import (
-    DefUse,
-    cross_check_with_simulator,
-    interpret,
-    lint_warp_program,
-    static_cycle_lower_bound,
-)
+from repro.analysis.abstract import interpret, static_cycle_lower_bound
+from repro.analysis.dataflow import DefUse
+from repro.analysis.warp_lint import cross_check_with_simulator, lint_warp_program
 from repro.gpu.smbd_program import build_naive_decode, build_two_phase_decode
 from repro.gpu.warp_sim import WarpProgram, WarpSimulator
 

@@ -9,7 +9,7 @@ test_paper_claims.py holds the claims stated in the paper's text.
 
 import pytest
 
-from repro.bench import Experiment, format_table, geomean
+from repro.bench.harness import Experiment, format_table, geomean
 
 
 class TestHarness:

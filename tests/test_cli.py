@@ -165,7 +165,7 @@ class TestReportCommand:
     def test_report_written(self, capsys, tmp_path, monkeypatch):
         # Restrict the registry so the test stays fast.
         import repro.cli as cli
-        from repro.bench import fig03_compression
+        from repro.bench.format_bench import fig03_compression
 
         monkeypatch.setattr(cli, "EXPERIMENTS", {"fig03": fig03_compression})
         out_path = str(tmp_path / "R.md")
@@ -368,7 +368,7 @@ class TestChaosCommand:
     def test_plan_file_round_trip(self, capsys, tmp_path):
         import json
 
-        from repro.runtime import builtin_fault_plans
+        from repro.runtime.faults import builtin_fault_plans
 
         plan = builtin_fault_plans()["gpu-crash"]
         path = tmp_path / "plan.json"
@@ -387,7 +387,7 @@ class TestChaosCommand:
         import builtins
         import json
 
-        from repro.runtime import builtin_fault_plans
+        from repro.runtime.faults import builtin_fault_plans
 
         path = tmp_path / "plan.json"
         path.write_text(json.dumps(builtin_fault_plans()[plan_name].to_dict()))

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.core.tca_bme import encode
 from repro.core.tiles import TileConfig
-from repro.formats import CSRMatrix, TiledCSLMatrix
 from repro.formats.conversion import (
     coords_to_storage_position,
     csr_to_tca_bme,
@@ -15,6 +14,8 @@ from repro.formats.conversion import (
     tca_bme_to_csr,
     tiled_csl_to_tca_bme,
 )
+from repro.formats.csr import CSRMatrix
+from repro.formats.tiled_csl import TiledCSLMatrix
 
 
 def random_sparse(m, k, sparsity=0.6, seed=0):

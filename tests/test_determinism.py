@@ -8,12 +8,15 @@ drift between machines and runs.
 
 import numpy as np
 
-from repro.bench import fig03_compression, tab01_ablation
-from repro.core import encode
+from repro.bench.format_bench import fig03_compression
+from repro.bench.kernel_bench import tab01_ablation
+from repro.core.tca_bme import encode
 from repro.gpu.specs import RTX4090
-from repro.kernels import SpMMProblem, make_kernel
-from repro.llm import InferenceConfig, simulate_inference
-from repro.pruning import sparsegpt_prune, wanda_prune
+from repro.kernels import make_kernel
+from repro.kernels.base import SpMMProblem
+from repro.llm.inference import InferenceConfig, simulate_inference
+from repro.pruning.sparsegpt import sparsegpt_prune
+from repro.pruning.wanda import wanda_prune
 
 
 class TestDeterminism:

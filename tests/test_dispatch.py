@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.kernels import SpMMProblem
+from repro.kernels.base import SpMMProblem
 from repro.kernels.dispatch import KernelDispatcher
 
 

@@ -1,11 +1,18 @@
-"""The documentation's console samples are what the CLI prints.
+"""The documentation's samples are what the code does.
 
 docs/ANALYSIS.md shows each lint sweep with the summary line it ends
 on.  Each ``$ repro lint ...`` line of that block runs here through
 :func:`repro.cli.main`; it must exit 0, and where the block shows an
 output line, the command's last line of output must equal it.
+
+The ```` ```python ```` blocks of the guides and the README run too, in
+file order and in one fresh namespace per file, so a later block may use
+what an earlier one defined.  A block that leaves code out on purpose is
+fenced ```` ```python fragment ````; it is skipped, and each file's
+fragment count is pinned.
 """
 
+import re
 import shlex
 from pathlib import Path
 
@@ -13,7 +20,18 @@ import pytest
 
 from repro.cli import main
 
-ANALYSIS = Path(__file__).resolve().parents[1] / "docs" / "ANALYSIS.md"
+ROOT = Path(__file__).resolve().parents[1]
+ANALYSIS = ROOT / "docs" / "ANALYSIS.md"
+
+#: Documents whose python blocks run -> how many are fragments.
+RUNNABLE_DOCS = {
+    "docs/ANALYSIS.md": 1,
+    "docs/RUNTIME.md": 0,
+    "docs/TUTORIAL.md": 0,
+    "README.md": 0,
+}
+
+_PYTHON_BLOCK = re.compile(r"^```python(.*)\n((?:.*\n)*?)```$", re.MULTILINE)
 
 
 def _lint_sweeps():
@@ -54,3 +72,25 @@ def test_lint_sweep_prints_the_documented_line(argv, expected, capsys):
     out = capsys.readouterr().out.rstrip("\n").splitlines()
     if expected is not None:
         assert out[-1] == expected
+
+
+def _python_blocks(doc):
+    """``(info string, first line number, code)`` per python block."""
+    text = (ROOT / doc).read_text()
+    return [
+        (m.group(1).strip(), text.count("\n", 0, m.start(2)) + 1, m.group(2))
+        for m in _PYTHON_BLOCK.finditer(text)
+    ]
+
+
+@pytest.mark.parametrize("doc", sorted(RUNNABLE_DOCS))
+def test_python_blocks_run(doc, capsys):
+    blocks = _python_blocks(doc)
+    fragments = [line for info, line, _ in blocks if info == "fragment"]
+    assert len(fragments) == RUNNABLE_DOCS[doc], f"fragments at {fragments}"
+    namespace = {"__name__": "__doc__"}
+    for info, line, code in blocks:
+        if info != "fragment":
+            # Padding keeps traceback line numbers those of the file.
+            exec(compile("\n" * (line - 1) + code, doc, "exec"), namespace)
+    assert len(blocks) > len(fragments)

@@ -10,7 +10,10 @@ import pytest
 
 from repro.core.smbd import decode_group, decode_matrix
 from repro.core.tca_bme import TCABMEMatrix, encode
-from repro.formats import BSRMatrix, CSRMatrix, SparTAMatrix, TiledCSLMatrix
+from repro.formats.bsr import BSRMatrix
+from repro.formats.csr import CSRMatrix
+from repro.formats.sparta import SparTAMatrix
+from repro.formats.tiled_csl import TiledCSLMatrix
 from repro.kernels.spinfer import SpInferKernel
 
 
@@ -161,7 +164,8 @@ class TestCorruptedRuntimeTrace:
 
     @staticmethod
     def _errors(trace):
-        from repro.analysis import Severity, lint_runtime_trace
+        from repro.analysis.findings import Severity
+        from repro.analysis.plan_lint import lint_runtime_trace
 
         return [
             f for f in lint_runtime_trace(trace)

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import lint_fault_outcome
+from repro.analysis.fault_lint import lint_fault_outcome
 from repro.llm.serving import ServingConfig, ServingSimulator, poisson_workload
-from repro.runtime import (
+from repro.runtime.faults import (
     ALL_FAULT_KINDS,
     RECOVERY_POLICIES,
     FaultEvent,

@@ -9,15 +9,11 @@ from repro.llm.disaggregation import (
     DisaggregatedConfig,
     build_disaggregated_runtime,
 )
-from repro.llm.serving import (
-    Request,
-    ServingConfig,
-    ServingSimulator,
-    poisson_workload,
-)
-from repro.runtime import (
+from repro.llm.serving import ServingConfig, ServingSimulator, poisson_workload
+from repro.runtime.core import det_hash01
+from repro.runtime.events import EventKind
+from repro.runtime.faults import (
     RECOVERY_POLICIES,
-    EventKind,
     FaultEvent,
     FaultInjector,
     FaultKind,
@@ -27,7 +23,7 @@ from repro.runtime import (
     builtin_fault_plans,
     get_recovery_policy,
 )
-from repro.runtime.faults import _hash01
+from repro.runtime.request import SessionRequest
 
 
 def fleet(recovery, plan=None, replicas=2, **cfg_kw):
@@ -90,9 +86,9 @@ class TestFaultPlan:
 
 class TestBackoff:
     def test_jitter_is_pure_hash(self):
-        assert _hash01(7, 2) == _hash01(7, 2)
-        assert 0.0 <= _hash01(7, 2) < 1.0
-        assert _hash01(7, 2) != _hash01(7, 3)
+        assert det_hash01(7, 2) == det_hash01(7, 2)
+        assert 0.0 <= det_hash01(7, 2) < 1.0
+        assert det_hash01(7, 2) != det_hash01(7, 3)
 
     def test_backoff_grows_exponentially(self):
         p = RecoveryPolicy(name="p", mode="retry", max_retries=5,
@@ -328,7 +324,7 @@ class TestDisaggregatedFaults:
 
     def reqs(self):
         return [
-            Request(i, 0.0, self.CFG.prompt_len, self.CFG.output_len)
+            SessionRequest(i, 0.0, self.CFG.prompt_len, self.CFG.output_len)
             for i in range(self.CFG.batch_size)
         ]
 

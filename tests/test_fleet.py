@@ -6,28 +6,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fleet import (
+from repro.fleet.autoscaler import (
     AUTOSCALER_POLICIES,
     BROKEN_AUTOSCALER_POLICIES,
     AutoscalerPolicy,
-    FleetConfig,
-    FleetSpec,
-    GPU_COST_PER_HOUR,
-    ReplicaClass,
-    TrafficProfile,
-    builtin_fleet_specs,
-    builtin_traffic_profiles,
-    fleet_report,
-    fleet_report_json,
-    generate_sessions,
     get_autoscaler_policy,
-    pareto_frontier,
-    run_fleet_policy,
     static_policy,
 )
+from repro.fleet.planner import (
+    FleetConfig,
+    fleet_report,
+    fleet_report_json,
+    pareto_frontier,
+    run_fleet_policy,
+)
 from repro.fleet.simulator import FleetSimulator, ReplicaInfo
-from repro.runtime import get_recovery_policy
-from repro.server import StreamingServer
+from repro.fleet.spec import (
+    GPU_COST_PER_HOUR,
+    FleetSpec,
+    ReplicaClass,
+    builtin_fleet_specs,
+)
+from repro.fleet.traffic import (
+    TrafficProfile,
+    builtin_traffic_profiles,
+    generate_sessions,
+)
+from repro.runtime.faults import get_recovery_policy
+from repro.server.streaming import StreamingServer
 
 
 class TestTrafficProfile:

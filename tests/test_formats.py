@@ -5,22 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.formats import (
-    FORMATS,
-    BSRMatrix,
-    COOMatrix,
-    CSRMatrix,
-    SparTAMatrix,
-    TCABMEFormat,
-    TiledCSLMatrix,
-    bsr_storage_bytes,
-    csr_storage_bytes,
-    dense_bytes,
-    encode_as,
-    get_format,
-    sparta_storage_bytes,
-    tiled_csl_storage_bytes,
-)
+from repro.formats.base import dense_bytes
+from repro.formats.bsr import BSRMatrix, bsr_storage_bytes
+from repro.formats.coo import COOMatrix
+from repro.formats.csr import CSRMatrix, csr_storage_bytes
+from repro.formats.registry import FORMATS, TCABMEFormat, encode_as, get_format
+from repro.formats.sparta import SparTAMatrix, sparta_storage_bytes
+from repro.formats.tiled_csl import TiledCSLMatrix, tiled_csl_storage_bytes
 
 
 def random_sparse(m, k, sparsity, seed=0):

@@ -3,19 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.formats import (
+from repro.formats.analytic import (
     ANALYTIC_STORAGE,
     compression_ratio,
-    dense_bytes,
-    encode_as,
     expected_nnz,
-    expected_residual_nnz,
     storage_csr,
     storage_optimal,
     storage_sparta,
     storage_tca_bme,
     storage_tiled_csl,
 )
+from repro.formats.base import dense_bytes
+from repro.formats.registry import encode_as
+from repro.formats.sparta import expected_residual_nnz
 
 
 def random_sparse(m, k, sparsity, seed=0):

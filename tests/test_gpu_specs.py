@@ -47,7 +47,8 @@ class TestExtendedZoo:
         assert {"RTX4090", "A6000", "A100-SXM", "H100-PCIe", "RTX3090"} == set(GPUS)
 
     def test_kernels_profile_on_every_gpu(self):
-        from repro.kernels import SpMMProblem, make_kernel
+        from repro.kernels import make_kernel
+        from repro.kernels.base import SpMMProblem
 
         prob = SpMMProblem(m=8192, k=8192, n=16, sparsity=0.6)
         for gpu in GPUS.values():
@@ -60,7 +61,8 @@ class TestExtendedZoo:
         is the deliberate exception — at 2 TB/s its decode matmuls stop
         being bandwidth-limited and the model predicts dense GEMM holds
         its own, which is why the paper targets workstation GPUs."""
-        from repro.kernels import SpMMProblem, make_kernel
+        from repro.kernels import make_kernel
+        from repro.kernels.base import SpMMProblem
 
         prob = SpMMProblem(m=28672, k=8192, n=16, sparsity=0.6)
         sp = make_kernel("spinfer")

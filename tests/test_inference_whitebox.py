@@ -10,7 +10,8 @@ import random
 import pytest
 
 from repro.gpu.specs import RTX4090
-from repro.kernels import SpMMProblem, make_kernel
+from repro.kernels import make_kernel
+from repro.kernels.base import SpMMProblem
 from repro.llm.inference import InferenceConfig, InferenceEngine
 from repro.llm.models import get_model
 from repro.llm.parallel import CommModel

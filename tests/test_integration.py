@@ -4,18 +4,19 @@ pipeline and its simulated deployment."""
 import numpy as np
 import pytest
 
-from repro.core import encode
-from repro.formats import encode_as
+from repro.core.tca_bme import encode
+from repro.formats.registry import encode_as
 from repro.gpu.specs import RTX4090
-from repro.kernels import SpMMProblem, make_kernel
-from repro.llm import InferenceConfig, simulate_inference
-from repro.pruning import (
+from repro.kernels import make_kernel
+from repro.kernels.base import SpMMProblem
+from repro.llm.inference import InferenceConfig, simulate_inference
+from repro.pruning.patterns import (
     block_occupancy,
     clustered_mask,
     measured_sparsity,
     uniform_mask,
-    wanda_prune,
 )
+from repro.pruning.wanda import wanda_prune
 
 
 class TestPruneEncodeCompute:

@@ -12,28 +12,33 @@ import json
 import numpy as np
 import pytest
 
-from repro.analysis import (
+from repro.analysis.integrity_lint import (
     check_builtin_integrity_artifacts,
     lint_integrity_outcome,
     lint_integrity_policy,
 )
 from repro.core.tca_bme import encode
 from repro.formats.tiled_csl import TiledCSLMatrix
-from repro.integrity import (
-    BROKEN_INTEGRITY_POLICIES,
-    INTEGRITY_POLICIES,
-    IntegrityConfig,
+from repro.integrity.abft import (
     IntegrityError,
-    IntegrityPolicy,
-    get_integrity_policy,
-    integrity_report_json,
-    run_integrity,
     verification_cost_frac,
     verification_flops,
     verify_output,
     weight_checksum,
 )
-from repro.kernels import SpMMProblem, make_kernel
+from repro.integrity.harness import (
+    IntegrityConfig,
+    integrity_report_json,
+    run_integrity,
+)
+from repro.integrity.policy import (
+    BROKEN_INTEGRITY_POLICIES,
+    INTEGRITY_POLICIES,
+    IntegrityPolicy,
+    get_integrity_policy,
+)
+from repro.kernels import make_kernel
+from repro.kernels.base import SpMMProblem
 from repro.kernels.dispatch import KernelDispatcher
 from repro.llm.kv_cache import KVBlockAllocator
 

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gpu.specs import A6000, RTX4090
-from repro.kernels import SpMMProblem, make_kernel
+from repro.kernels import make_kernel
+from repro.kernels.base import SpMMProblem
 
 dims = st.sampled_from([1024, 2048, 4096, 8192, 16384])
 ns = st.sampled_from([8, 16, 32])

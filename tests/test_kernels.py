@@ -6,13 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gpu.specs import A6000, RTX4090
-from repro.kernels import (
-    KERNELS,
-    SpMMProblem,
-    choose_split_k,
-    make_kernel,
-)
-from repro.kernels.base import TILE_K
+from repro.kernels import KERNELS, make_kernel
+from repro.kernels.base import TILE_K, SpMMProblem, choose_split_k
 
 
 def random_problem(m, k, n, sparsity, seed=0):
@@ -102,7 +97,7 @@ class TestProblemSpec:
             make_kernel("magic")
 
     def test_unknown_spinfer_variant(self):
-        from repro.kernels import SpInferKernel
+        from repro.kernels.spinfer import SpInferKernel
 
         with pytest.raises(ValueError, match="unknown variant"):
             SpInferKernel(variant="turbo")

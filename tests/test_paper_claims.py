@@ -12,10 +12,11 @@ asserts it on the session's registry run, the numbers
 import numpy as np
 import pytest
 
-from repro.bench import geomean
+from repro.bench.harness import geomean
 from repro.gpu.specs import A6000, RTX4090
-from repro.kernels import SpMMProblem, make_kernel
-from repro.llm import InferenceConfig, simulate_inference
+from repro.kernels import make_kernel
+from repro.kernels.base import SpMMProblem
+from repro.llm.inference import InferenceConfig, simulate_inference
 from repro.llm.models import kernel_matrix_zoo
 
 
@@ -204,7 +205,7 @@ class TestSection6Claims:
         """6: 'at extreme sparsity levels (>90%), the efficiency of bitmap
         indexing declines ... resulting in a lower compression ratio than
         CSR formats'."""
-        from repro.formats import compression_ratio
+        from repro.formats.analytic import compression_ratio
 
         assert compression_ratio("csr", 4096, 4096, 0.99) > compression_ratio(
             "tca-bme", 4096, 4096, 0.99

@@ -8,19 +8,16 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.perf import (
+from repro.perf.regression import compare_documents, render_regressions
+from repro.perf.suite import (
     BENCH_SCHEMA,
     SUITES,
-    checksum_arrays,
-    checksum_ints,
-    compare_documents,
     load_results,
-    measure,
-    render_regressions,
     run_suite,
     suite_filename,
     write_results,
 )
+from repro.perf.timer import checksum_arrays, checksum_ints, measure
 
 ROOT = Path(__file__).resolve().parents[1]
 

@@ -5,19 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.pruning import (
+from repro.pruning.magnitude import magnitude_mask, magnitude_prune
+from repro.pruning.patterns import (
     apply_mask,
     banded_mask,
     block_occupancy,
     clustered_mask,
-    hessian_inverse,
-    magnitude_mask,
-    magnitude_prune,
     measured_sparsity,
     semi_structured_mask,
-    sparsegpt_prune,
-    synthetic_activations,
     uniform_mask,
+)
+from repro.pruning.sparsegpt import hessian_inverse, sparsegpt_prune
+from repro.pruning.wanda import (
+    synthetic_activations,
     wanda_mask,
     wanda_prune,
     wanda_scores,

@@ -4,23 +4,15 @@ import copy
 
 import pytest
 
-from repro.analysis import Severity, lint_kv_allocator, lint_runtime_trace
+from repro.analysis.findings import Severity
+from repro.analysis.plan_lint import lint_kv_allocator, lint_runtime_trace
 from repro.llm.kv_cache import KVBlockAllocator
-from repro.llm.serving import (
-    Request,
-    ServingConfig,
-    ServingSimulator,
-    mixed_workload,
-)
-from repro.runtime import (
-    ContinuousBatchingScheduler,
-    EventKind,
-    EventLoop,
-    FCFSPolicy,
-    GPUPool,
-    SJFPolicy,
-    get_policy,
-)
+from repro.llm.serving import ServingConfig, ServingSimulator, mixed_workload
+from repro.runtime.core import EventLoop, GPUPool
+from repro.runtime.events import EventKind
+from repro.runtime.policies import FCFSPolicy, SJFPolicy, get_policy
+from repro.runtime.request import SessionRequest
+from repro.runtime.scheduler import ContinuousBatchingScheduler
 
 
 def make_sim(**kw):
@@ -150,9 +142,9 @@ class TestEventLoop:
 class TestPolicies:
     def reqs(self):
         return [
-            Request(request_id=0, arrival_s=0.0, prompt_len=8, output_len=64),
-            Request(request_id=1, arrival_s=1.0, prompt_len=8, output_len=8),
-            Request(request_id=2, arrival_s=2.0, prompt_len=8, output_len=32),
+            SessionRequest(request_id=0, arrival_s=0.0, prompt_len=8, output_len=64),
+            SessionRequest(request_id=1, arrival_s=1.0, prompt_len=8, output_len=8),
+            SessionRequest(request_id=2, arrival_s=2.0, prompt_len=8, output_len=32),
         ]
 
     def test_unknown_policy_rejected(self):
@@ -206,10 +198,10 @@ class TestRejection:
         legacy loop parked it and spun forever."""
         sim = make_sim(max_batch=4, kv_cap_tokens=512)
         workload = [
-            Request(request_id=0, arrival_s=0.0, prompt_len=32, output_len=32),
-            Request(request_id=1, arrival_s=0.1, prompt_len=400,
+            SessionRequest(request_id=0, arrival_s=0.0, prompt_len=32, output_len=32),
+            SessionRequest(request_id=1, arrival_s=0.1, prompt_len=400,
                     output_len=400),  # 800 tokens > 512-token pool
-            Request(request_id=2, arrival_s=0.2, prompt_len=32, output_len=32),
+            SessionRequest(request_id=2, arrival_s=0.2, prompt_len=32, output_len=32),
         ]
         stats = sim.run(copy.deepcopy(workload))
         assert [r.request_id for r in stats.rejected] == [1]
@@ -221,8 +213,8 @@ class TestRejection:
         budget_tokens = sim.kv_budget / sim._kv_bytes_per_token()
         huge = int(budget_tokens)  # prompt+output far past the budget
         workload = [
-            Request(request_id=0, arrival_s=0.0, prompt_len=32, output_len=32),
-            Request(request_id=1, arrival_s=0.1, prompt_len=huge,
+            SessionRequest(request_id=0, arrival_s=0.0, prompt_len=32, output_len=32),
+            SessionRequest(request_id=1, arrival_s=0.1, prompt_len=huge,
                     output_len=huge),
         ]
         stats = sim.run_legacy(copy.deepcopy(workload))
@@ -309,8 +301,8 @@ class TestChunkedPrefill:
             lambda req: (prefix, 40) if req.session_id == 0 else None
         )
         stats = sched.run([
-            Request(0, 0.0, 16, 8),
-            Request(1, 0.0, 60, 4, session_id=0, turn=1),
+            SessionRequest(0, 0.0, 16, 8),
+            SessionRequest(1, 0.0, 60, 4, session_id=0, turn=1),
         ])
         assert sorted(r.request_id for r in stats.completed) == [0, 1]
         assert stats.cached_prefill_tokens >= 40

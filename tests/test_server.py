@@ -4,18 +4,15 @@ from dataclasses import replace
 
 import pytest
 
-from repro.runtime import EventLoop, SessionRequest, TokenEvent, TokenStream
-from repro.server import (
-    SERVER_POLICIES,
-    AdmissionGate,
+from repro.runtime.core import EventLoop
+from repro.runtime.request import SessionRequest, TokenEvent, TokenStream
+from repro.server.admission import SERVER_POLICIES, AdmissionGate, ServerPolicy
+from repro.server.sessions import SessionSpec, TurnSpec, session_workload
+from repro.server.streaming import (
     ServerConfig,
-    ServerPolicy,
-    SessionSpec,
-    TurnSpec,
     run_server,
     server_report,
     server_report_json,
-    session_workload,
 )
 
 
@@ -29,11 +26,8 @@ def make_req(request_id=0, arrival_s=0.0, prompt_len=64, output_len=16, **kw):
 
 class TestSessionRequest:
     def test_legacy_positional_construction(self):
-        # The serving layer's one-shot Request is the same class; the
-        # legacy positional field order must keep working.
-        from repro.llm.serving import Request
-
-        req = Request(3, 1.5, 96, 32)
+        # The legacy positional field order must keep working.
+        req = SessionRequest(3, 1.5, 96, 32)
         assert req is not None and isinstance(req, SessionRequest)
         assert (req.request_id, req.arrival_s) == (3, 1.5)
         assert req.session_id is None and req.cached_tokens == 0
@@ -126,7 +120,7 @@ class TestServerPolicy:
         assert policy.clamp_priority(99) == policy.priority_tiers - 1
 
     def test_unknown_policy_name(self):
-        from repro.server import get_server_policy
+        from repro.server.admission import get_server_policy
 
         with pytest.raises(ValueError, match="unknown server policy"):
             get_server_policy("nope")
@@ -263,7 +257,7 @@ class TestStreamingServerDeterminism:
         assert len(report["stream"]["sha256"]) == 64
 
     def test_stream_passes_its_own_lint(self):
-        from repro.analysis import lint_token_stream
+        from repro.analysis.server_lint import lint_token_stream
 
         server, stats = run_server(quick_cfg())
         assert lint_token_stream(server.stream.events) == []
@@ -278,7 +272,7 @@ class TestStreamingServerDeterminism:
         assert on["latency"]["p99_ttft_s"] < off["latency"]["p99_ttft_s"]
 
     def test_empty_workload_rejected(self):
-        from repro.server import build_server
+        from repro.server.streaming import build_server
 
         server = build_server(quick_cfg())
         with pytest.raises(ValueError, match="empty"):

@@ -5,13 +5,13 @@ import copy
 import pytest
 
 from repro.llm.serving import (
-    Request,
     ServingConfig,
     ServingSimulator,
     compare_frameworks,
     poisson_workload,
 )
-from repro.runtime import RuntimeStats
+from repro.runtime.request import SessionRequest
+from repro.runtime.scheduler import RuntimeStats
 
 
 def small_workload(n=12, rate=2.0, output_len=32):
@@ -61,7 +61,7 @@ class TestSimulator:
     def test_batching_happens(self):
         """A burst of arrivals should be served concurrently."""
         burst = [
-            Request(request_id=i, arrival_s=0.0, prompt_len=32, output_len=32)
+            SessionRequest(request_id=i, arrival_s=0.0, prompt_len=32, output_len=32)
             for i in range(8)
         ]
         stats = make_sim().run(burst)
@@ -69,7 +69,7 @@ class TestSimulator:
 
     def test_max_batch_respected(self):
         burst = [
-            Request(request_id=i, arrival_s=0.0, prompt_len=16, output_len=16)
+            SessionRequest(request_id=i, arrival_s=0.0, prompt_len=16, output_len=16)
             for i in range(20)
         ]
         stats = make_sim(max_batch=4).run(burst)
@@ -94,7 +94,7 @@ class TestSimulator:
     def test_run_returns_auditable_runtime_stats(self):
         """The simulator hands back the scheduler's own stats, so the
         R005 conservation audit reads a serving run like a chaos run."""
-        from repro.analysis import lint_fault_outcome
+        from repro.analysis.fault_lint import lint_fault_outcome
 
         stats = make_sim().run(small_workload())
         assert isinstance(stats, RuntimeStats)
@@ -166,7 +166,7 @@ class TestSchedulingPolicies:
 class TestLatencyPercentile:
     def stats(self, latencies):
         completed = [
-            Request(request_id=i, arrival_s=0.0, prompt_len=1,
+            SessionRequest(request_id=i, arrival_s=0.0, prompt_len=1,
                     output_len=1, start_s=0.0, finish_s=lat)
             for i, lat in enumerate(latencies)
         ]
