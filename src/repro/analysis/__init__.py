@@ -15,14 +15,14 @@ machine-checked properties that run without executing anything:
   (``T001``–``T005``), KV-cache plans and allocators
   (``K001``–``K005``), offload feasibility (``O001``–``O004``) and
   disaggregated configurations (``D001``–``D004``);
-* :mod:`~repro.analysis.fault_lint` — recovery-policy sanity and
-  fault-run conservation audits (``R001``–``R005``);
-* :mod:`~repro.analysis.integrity_lint` — integrity-policy sanity
-  (unverified tags, unreachable or hair-trigger quarantine, free
-  verification) and SDC-run ledger audits (``C001``–``C005``);
+* :mod:`~repro.analysis.fault_lint` — recovery-policy backoff
+  (``R001``) and fault-run conservation audits (``R005``);
+* :mod:`~repro.analysis.integrity_lint` — served-despite-detection
+  (``C002``), unreachable or hair-trigger quarantine (``C003``) and
+  SDC-run ledger audits (``C005``);
 * :mod:`~repro.analysis.fleet_lint` — autoscaling-policy sanity
-  (flapping, kill-on-scale-down, unbounded ceilings, dropped KV) and
-  fleet-run conservation audits (``A001``–``A005``);
+  (flapping, kill-on-scale-down, unbounded ceilings: ``A001``–``A003``)
+  and fleet-run conservation audits (``A005``);
 * :mod:`~repro.analysis.server_lint` — streaming-server admission
   policies, session-prefix ownership and token-stream ordering
   (``Q001``–``Q004``);

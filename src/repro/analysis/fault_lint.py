@@ -1,11 +1,11 @@
 """Static checks on recovery policies and fault-run outcomes (R rules).
 
 A recovery policy is a tiny config object, but a bad one is a tiny
-outage amplifier: zero backoff turns one transient into a hot loop,
-an unbounded retry budget turns one dead GPU into an event-loop spin,
-a microsecond deadline times out every request before the first decode
-step.  ``lint_recovery_policy`` catches those shapes *before* a chaos
-run (R001–R004); ``lint_fault_outcome`` audits the run afterwards for
+outage amplifier: zero backoff turns one transient into a hot loop.
+``lint_recovery_policy`` catches that shape *before* a chaos run
+(R001); the retry budget, deadline and shed depth are class constants
+of :class:`~repro.runtime.faults.RecoveryPolicy`, so no policy can get
+them wrong.  ``lint_fault_outcome`` audits the run afterwards for
 conservation violations — a request in two terminal buckets, or a
 "completed" request that never produced its tokens (R005).
 
@@ -36,8 +36,6 @@ from .findings import (
 )
 
 __all__ = [
-    "DEFAULT_MIN_SERVICE_S",
-    "MAX_SANE_RETRIES",
     "lint_recovery_policy",
     "lint_fault_outcome",
     "check_builtin_fault_artifacts",
@@ -47,18 +45,8 @@ register_rules(
     "R", "recovery policies and fault traces", __name__, "--faults",
     [
         Rule("R001", "retry-without-backoff", Severity.ERROR,
-             "retrying policy with zero/negative base backoff or a decay "
-             "factor below 1 — failed requests hammer the pool in a tight "
-             "loop"),
-        Rule("R002", "unbounded-retry-budget", Severity.ERROR,
-             "retry budget absent or effectively infinite; a persistent "
-             "fault turns every victim into an event-loop spin"),
-        Rule("R003", "timeout-below-service-floor", Severity.ERROR,
-             "per-request deadline at or below the minimum service time — "
-             "every request times out before it can possibly finish"),
-        Rule("R004", "shed-policy-starves", Severity.ERROR,
-             "load-shedding threshold admits no queue at all (depth < 1): "
-             "the server sheds every arrival even when idle"),
+             "retrying policy with zero/negative base backoff — failed "
+             "requests hammer the pool in a tight loop"),
         Rule("R005", "fault-trace-inconsistent", Severity.ERROR,
              "runtime outcome violates conservation: a request in zero or "
              "two terminal buckets, lost/duplicated decode tokens, or "
@@ -66,67 +54,20 @@ register_rules(
     ],
 )
 
-#: Floor on a plausible per-request service time.  One decode step on
-#: the slowest modelled GPU is already ~10 ms; a deadline at or below
-#: this can never be met.
-DEFAULT_MIN_SERVICE_S = 1e-3
 
-#: A retry budget above this is indistinguishable from "forever" on the
-#: workloads the runtime models (tens of requests): by then the fault
-#: is persistent and every retry is pure waste.
-MAX_SANE_RETRIES = 100
-
-
-def lint_recovery_policy(
-    policy: RecoveryPolicy, min_service_s: float = DEFAULT_MIN_SERVICE_S
-) -> List[Finding]:
-    """R001–R004 over one :class:`RecoveryPolicy`."""
-    findings: List[Finding] = []
-    subject = f"recovery:{policy.name}"
-    retrying = policy.mode != "fail_fast"
-
-    if retrying and (policy.backoff_base_s <= 0 or policy.backoff_factor < 1):
-        findings.append(
-            Finding(
-                "R001",
-                f"mode={policy.mode!r} retries with base backoff "
-                f"{policy.backoff_base_s}s and factor "
-                f"{policy.backoff_factor} — resubmission is immediate, so "
-                "a persistent fault is retried in a tight loop",
-                subject=subject,
-            )
+def lint_recovery_policy(policy: RecoveryPolicy) -> List[Finding]:
+    """R001 over one :class:`RecoveryPolicy`."""
+    if policy.mode == "fail_fast" or policy.backoff_base_s > 0:
+        return []
+    return [
+        Finding(
+            "R001",
+            f"mode={policy.mode!r} retries with base backoff "
+            f"{policy.backoff_base_s}s — resubmission is immediate, so "
+            "a persistent fault is retried in a tight loop",
+            subject=f"recovery:{policy.name}",
         )
-    if retrying and policy.max_retries > MAX_SANE_RETRIES:
-        findings.append(
-            Finding(
-                "R002",
-                f"max_retries={policy.max_retries} exceeds the sane bound "
-                f"({MAX_SANE_RETRIES}); a persistent fault makes every "
-                "victim spin until the event-loop backstop trips",
-                subject=subject,
-            )
-        )
-    if policy.deadline_s is not None and policy.deadline_s <= min_service_s:
-        findings.append(
-            Finding(
-                "R003",
-                f"deadline_s={policy.deadline_s} is at or below the minimum "
-                f"service time ({min_service_s}s) — every admitted request "
-                "times out before it can finish",
-                subject=subject,
-            )
-        )
-    if policy.shed_queue_depth is not None and policy.shed_queue_depth < 1:
-        findings.append(
-            Finding(
-                "R004",
-                f"shed_queue_depth={policy.shed_queue_depth} admits no "
-                "queue at all: every arrival is shed even when the server "
-                "is idle",
-                subject=subject,
-            )
-        )
-    return findings
+    ]
 
 
 #: A finished run's terminal buckets (``RuntimeStats`` fields), in

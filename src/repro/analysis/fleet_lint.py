@@ -6,7 +6,7 @@ later — paying the boot cost of a replica for zero served tokens), a
 scale-down that aborts in-flight work converts elasticity into an
 outage, and a missing replica ceiling turns one traffic spike into an
 unbounded bill.  ``lint_autoscaler_policy`` catches those shapes
-*before* a fleet run (A001–A004); ``lint_fleet_outcome`` audits the
+*before* a fleet run (A001–A003); ``lint_fleet_outcome`` audits the
 run afterwards (A005): every submitted turn in exactly one terminal
 bucket across all scale events, a consistent replica lifecycle log,
 non-negative cost, the policy's own bounds respected, and zero leaked
@@ -58,19 +58,15 @@ register_rules(
     "A", "autoscaling policies and fleet runs", __name__, "--fleet",
     [
         Rule("A001", "scale-flapping", Severity.ERROR,
-             "no cooldown or no hysteresis band between the scale-up and "
-             "scale-down thresholds — consecutive evaluations can reverse "
-             "each other, paying boot cost for zero served tokens"),
+             "no hysteresis band between the scale-up and scale-down "
+             "thresholds — consecutive evaluations can reverse each "
+             "other, paying boot cost for zero served tokens"),
         Rule("A002", "scale-down-data-loss", Severity.ERROR,
              "scale-down aborts in-flight requests instead of draining; "
              "every downscale event is a configured mini-outage"),
         Rule("A003", "unbounded-scale-up-cost", Severity.ERROR,
              "no (or an absurd) replica ceiling: a traffic spike or a "
              "feedback bug writes a blank check against the fleet budget"),
-        Rule("A004", "drain-without-migration", Severity.ERROR,
-             "drained replicas drop their session KV prefixes instead of "
-             "migrating them — every surviving session silently re-pays "
-             "its whole prefill after each scale-down"),
         Rule("A005", "fleet-trace-inconsistent", Severity.ERROR,
              "fleet outcome violates conservation: submitted turns not "
              "partitioned into terminal buckets, an inconsistent replica "
@@ -85,21 +81,11 @@ MAX_SANE_REPLICAS = 64
 
 
 def lint_autoscaler_policy(policy: AutoscalerPolicy) -> List[Finding]:
-    """A001–A004 over one :class:`AutoscalerPolicy`."""
+    """A001–A003 over one :class:`AutoscalerPolicy`."""
     findings: List[Finding] = []
     subject = f"autoscaler:{policy.name}"
     dynamic = policy.mode != "static"
 
-    if dynamic and policy.cooldown_s <= 0:
-        findings.append(
-            Finding(
-                "A001",
-                f"cooldown_s={policy.cooldown_s} — nothing stops the next "
-                "evaluation from reversing this one; scale decisions can "
-                f"flap every {policy.interval_s}s",
-                subject=subject,
-            )
-        )
     if dynamic and policy.down_target >= policy.target:
         findings.append(
             Finding(
@@ -136,16 +122,6 @@ def lint_autoscaler_policy(policy: AutoscalerPolicy) -> List[Finding]:
                 f"max_replicas is {ceiling} (sane bound "
                 f"{MAX_SANE_REPLICAS}): a spike or a stuck-high signal "
                 "provisions replicas without limit",
-                subject=subject,
-            )
-        )
-    if dynamic and not policy.migrate_kv:
-        findings.append(
-            Finding(
-                "A004",
-                "migrate_kv=False: drained replicas drop session prefixes, "
-                "so every scale-down silently re-prefills surviving "
-                "sessions' history",
                 subject=subject,
             )
         )

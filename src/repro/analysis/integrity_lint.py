@@ -2,13 +2,14 @@
 
 An integrity layer that is misconfigured is worse than none: it costs
 throughput while advertising protection it does not deliver.  The C
-rules catch the shapes that make it a lie — KV tags nobody verifies
-(C001), corruption detected yet served anyway (C002), quarantine that
-can never fire or fires on the first transient (C003), verification
-modelled as free so every goodput comparison overstates the protected
-arm (C004) — and audit finished runs for counter/trace conservation
-(C005): every injected corruption, detection, and quarantine in the
-stats must appear in the trace, and vice versa.
+rules catch the shapes that make it a lie — corruption detected yet
+served anyway (C002), quarantine that can never fire or fires on the
+first transient (C003) — and audit finished runs for counter/trace
+conservation (C005): every injected corruption, detection, and
+quarantine in the stats must appear in the trace, and vice versa.  The
+verification costs are class constants of
+:class:`~repro.integrity.policy.IntegrityPolicy`, so no policy can
+model a check as free.
 
 ``check_builtin_integrity_artifacts`` is the ``repro lint --integrity``
 sweep: shipped policies lint clean, every deliberately broken policy in
@@ -45,10 +46,6 @@ __all__ = [
 register_rules(
     "C", "integrity policies and SDC traces", __name__, "--integrity",
     [
-        Rule("C001", "unverified-migration-path", Severity.ERROR,
-             "KV blocks carry content tags but no verification pass ever "
-             "checks one — migrations ship poisoned payloads that are "
-             "served as if the tags did not exist"),
         Rule("C002", "corruption-detected-but-served", Severity.ERROR,
              "a verifying run completed requests whose payload the ground "
              "truth marks corrupted — detection exists but the serving "
@@ -57,10 +54,6 @@ register_rules(
              "quarantine threshold that can never trigger (no verification "
              "pass produces detections) or triggers on the first detection "
              "(one transient flip permanently removes a replica)"),
-        Rule("C004", "checksum-cost-unaccounted", Severity.ERROR,
-             "verification enabled with a zero cost model — goodput under "
-             "the protected arm silently overstates what the checks "
-             "actually cost"),
         Rule("C005", "integrity-trace-inconsistent", Severity.ERROR,
              "stats counters and trace disagree: injected/detected/"
              "quarantine counts must match their corrupt/corrupt_detected/"
@@ -71,21 +64,10 @@ register_rules(
 
 
 def lint_integrity_policy(policy: IntegrityPolicy) -> List[Finding]:
-    """C001/C003/C004 over one :class:`IntegrityPolicy`."""
+    """C003 over one :class:`IntegrityPolicy`."""
     findings: List[Finding] = []
     subject = f"integrity:{policy.name}"
 
-    if policy.tag_kv and not policy.verify_kv:
-        findings.append(
-            Finding(
-                "C001",
-                "tag_kv writes a content tag on every KV block but "
-                "verify_kv is off — no migration receive or resident "
-                "check ever reads one, so the tags are pure overhead "
-                "and shipped corruption is served",
-                subject=subject,
-            )
-        )
     if policy.quarantine_after is not None and not policy.verifies_anything:
         findings.append(
             Finding(
@@ -103,24 +85,6 @@ def lint_integrity_policy(policy: IntegrityPolicy) -> List[Finding]:
                 "quarantine_after=1 is a hair trigger: a single "
                 "transient bit flip permanently removes a replica and "
                 "its capacity",
-                subject=subject,
-            )
-        )
-    if policy.verify_kernels and policy.kernel_check_cost_frac == 0.0:
-        findings.append(
-            Finding(
-                "C004",
-                "verify_kernels is on but kernel_check_cost_frac is 0 — "
-                "the ABFT pass is modelled as free",
-                subject=subject,
-            )
-        )
-    if policy.verify_kv and policy.kv_check_cost_frac == 0.0:
-        findings.append(
-            Finding(
-                "C004",
-                "verify_kv is on but kv_check_cost_frac is 0 — the KV "
-                "tag check is modelled as free",
                 subject=subject,
             )
         )

@@ -10,11 +10,83 @@ the tests compare that file with a fresh rendering section by section.
 from __future__ import annotations
 
 import os
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
+from ..gpu.specs import A6000
+from .ablation_bench import (
+    abl_grouptile_size,
+    abl_mma_shape,
+    abl_quantization,
+    abl_split_k,
+)
+from .accuracy_bench import ext_accuracy
+from .chaos_bench import ext_chaos
+from .disagg_bench import ext_disaggregation
+from .e2e_bench import (
+    fig02_breakdown,
+    fig13_e2e_rtx4090,
+    fig14_e2e_a6000,
+    fig15_time_breakdown,
+)
+from .fleet_bench import ext_fleet
+from .format_bench import fig03_compression, fig04_roofline
 from .harness import Experiment
+from .integrity_bench import ext_integrity
+from .kernel_bench import (
+    fig01_motivation,
+    fig10_kernel_sweep,
+    fig11_smat_comparison,
+    fig12_micro_metrics,
+    fig16_prefill,
+    tab01_ablation,
+)
+from .memory_bench import ext_memory_walls
+from .offload_bench import ext_offloading
+from .pipeline_bench import fig09_pipeline_schedule
+from .server_bench import ext_server
+from .serving_bench import ext_serving, ext_serving_runtime
 
-__all__ = ["PAPER_ANCHORS", "generate_report", "render_report", "write_report"]
+__all__ = [
+    "EXPERIMENTS",
+    "PAPER_ANCHORS",
+    "generate_report",
+    "render_report",
+    "write_report",
+]
+
+#: Experiment registry: id -> zero-argument callable.
+EXPERIMENTS: Dict[str, Callable] = {
+    "fig01": fig01_motivation,
+    "fig02": fig02_breakdown,
+    "fig03": fig03_compression,
+    "fig04": fig04_roofline,
+    "fig09": fig09_pipeline_schedule,
+    "fig10": fig10_kernel_sweep,
+    "fig10_a6000": partial(fig10_kernel_sweep, A6000),
+    "fig11": fig11_smat_comparison,
+    "fig12": fig12_micro_metrics,
+    "fig13": fig13_e2e_rtx4090,
+    "fig14": fig14_e2e_a6000,
+    "fig15": fig15_time_breakdown,
+    "fig16": fig16_prefill,
+    "tab01": tab01_ablation,
+    "abl_grouptile": abl_grouptile_size,
+    "abl_splitk": abl_split_k,
+    "abl_mma_shape": abl_mma_shape,
+    "abl_quant": abl_quantization,
+    "ext_chaos": ext_chaos,
+    "ext_integrity": ext_integrity,
+    "ext_server": ext_server,
+    "ext_serving": ext_serving,
+    "ext_serving_runtime": ext_serving_runtime,
+    "ext_disagg": ext_disaggregation,
+    "ext_fleet": ext_fleet,
+    "ext_accuracy": ext_accuracy,
+    "ext_offload": ext_offloading,
+    "ext_memory": ext_memory_walls,
+}
+
 
 #: Headline paper numbers each experiment's key metric is compared to:
 #: exp_id -> (metric, paper value, description).
@@ -44,8 +116,6 @@ def generate_report(
 ) -> str:
     """Run every experiment and render the markdown report."""
     if experiments is None:
-        from ..cli import EXPERIMENTS
-
         experiments = EXPERIMENTS
     return render_report(
         {exp_id: experiments[exp_id]() for exp_id in sorted(experiments)}

@@ -32,80 +32,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
-from .bench.ablation_bench import (
-    abl_grouptile_size,
-    abl_mma_shape,
-    abl_quantization,
-    abl_split_k,
-)
-from .bench.accuracy_bench import ext_accuracy
-from .bench.chaos_bench import ext_chaos
-from .bench.disagg_bench import ext_disaggregation
-from .bench.e2e_bench import (
-    fig02_breakdown,
-    fig13_e2e_rtx4090,
-    fig14_e2e_a6000,
-    fig15_time_breakdown,
-)
-from .bench.fleet_bench import ext_fleet
-from .bench.format_bench import fig03_compression, fig04_roofline
 from .bench.harness import format_table
-from .bench.integrity_bench import ext_integrity
-from .bench.kernel_bench import (
-    fig01_motivation,
-    fig10_kernel_sweep,
-    fig11_smat_comparison,
-    fig12_micro_metrics,
-    fig16_prefill,
-    tab01_ablation,
-)
-from .bench.memory_bench import ext_memory_walls
-from .bench.offload_bench import ext_offloading
-from .bench.pipeline_bench import fig09_pipeline_schedule
-from .bench.server_bench import ext_server
-from .bench.serving_bench import ext_serving, ext_serving_runtime
-from .gpu.specs import A6000, GPUS, get_gpu
+from .gpu.specs import GPUS, get_gpu
 from .kernels import KERNELS, make_kernel
 from .kernels.base import SpMMProblem
 from .llm.inference import InferenceConfig, simulate_inference
 from .llm.models import MODELS
 
 __all__ = ["main", "build_parser"]
-
-#: Experiment registry: id -> zero-argument callable.
-EXPERIMENTS: Dict[str, Callable] = {
-    "fig01": fig01_motivation,
-    "fig02": fig02_breakdown,
-    "fig03": fig03_compression,
-    "fig04": fig04_roofline,
-    "fig09": fig09_pipeline_schedule,
-    "fig10": fig10_kernel_sweep,
-    "fig10_a6000": partial(fig10_kernel_sweep, A6000),
-    "fig11": fig11_smat_comparison,
-    "fig12": fig12_micro_metrics,
-    "fig13": fig13_e2e_rtx4090,
-    "fig14": fig14_e2e_a6000,
-    "fig15": fig15_time_breakdown,
-    "fig16": fig16_prefill,
-    "tab01": tab01_ablation,
-    "abl_grouptile": abl_grouptile_size,
-    "abl_splitk": abl_split_k,
-    "abl_mma_shape": abl_mma_shape,
-    "abl_quant": abl_quantization,
-    "ext_chaos": ext_chaos,
-    "ext_integrity": ext_integrity,
-    "ext_server": ext_server,
-    "ext_serving": ext_serving,
-    "ext_serving_runtime": ext_serving_runtime,
-    "ext_disagg": ext_disaggregation,
-    "ext_fleet": ext_fleet,
-    "ext_accuracy": ext_accuracy,
-    "ext_offload": ext_offloading,
-    "ext_memory": ext_memory_walls,
-}
 
 #: Experiments accepting a GPU argument.
 _GPU_PARAM = {"fig01", "fig09", "fig10", "fig11", "fig12", "fig16", "tab01"}
@@ -116,6 +52,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return _bench_check(args)
     if args.experiment is None:
         return _bench_perf(args)
+    from .bench.report import EXPERIMENTS
+
     targets = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     for exp_id in targets:
         try:

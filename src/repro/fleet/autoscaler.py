@@ -5,8 +5,9 @@ observed utilization and queue depth it returns a desired replica
 count; the :class:`~repro.fleet.simulator.FleetSimulator` turns the
 delta into timed provision/drain events.  Keeping the policy pure makes
 it lintable (the A rules judge the *parameters*: hysteresis band,
-cooldown, bounds, drain behaviour) and makes the decision trivially
-deterministic.
+bounds, drain behaviour) and makes the decision trivially
+deterministic.  The hysteresis floor, scale step, cooldown and
+evaluation interval are class constants that every policy shares.
 
 Two dynamic variants plus a static baseline:
 
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import ClassVar, Dict, Optional, Tuple
 
 __all__ = [
     "AUTOSCALER_MODES",
@@ -59,21 +60,20 @@ class AutoscalerPolicy:
     #: Scale-up trigger: utilization fraction (target-utilization) or
     #: queued requests per active replica (queue-depth).
     target: float = 0.5
+    #: Scale-down behaviour: True aborts in-flight requests instead of
+    #: draining (rule A002 — data loss by configuration).  A drain
+    #: always migrates session KV prefixes to a survivor.
+    # No shipped policy sets it, but it feeds the replay-pinned ``kills`` key.
+    kill_in_flight: bool = False
     #: Hysteresis floor — scale down only below this.  A floor at or
     #: above ``target`` leaves no dead band and flaps (rule A001).
-    down_target: float = 0.2
+    down_target: ClassVar[float] = 0.2
     #: Replicas added/removed per decision.
-    scale_step: int = 1
-    #: Minimum seconds between scale decisions (A001 when <= 0).
-    cooldown_s: float = 1.0
+    scale_step: ClassVar[int] = 1
+    #: Minimum seconds between scale decisions.
+    cooldown_s: ClassVar[float] = 1.0
     #: Seconds between policy evaluations.
-    interval_s: float = 0.25
-    #: Scale-down behaviour: True aborts in-flight requests instead of
-    #: draining (rule A002 — data loss by configuration).
-    kill_in_flight: bool = False
-    #: Ship session KV prefixes to a survivor on drain; False recomputes
-    #: every drained session's history from scratch (rule A004).
-    migrate_kv: bool = True
+    interval_s: ClassVar[float] = 0.25
 
     def __post_init__(self) -> None:
         if self.mode not in AUTOSCALER_MODES:
@@ -88,12 +88,8 @@ class AutoscalerPolicy:
             and self.max_replicas < self.min_replicas
         ):
             raise ValueError("max_replicas cannot be below min_replicas")
-        if self.target <= 0 or self.down_target < 0:
-            raise ValueError("targets must be positive")
-        if self.scale_step < 1:
-            raise ValueError("scale_step must be at least 1")
-        if self.interval_s <= 0:
-            raise ValueError("interval_s must be positive")
+        if self.target <= 0:
+            raise ValueError("target must be positive")
         if self.mode == "static" and self.max_replicas != self.min_replicas:
             raise ValueError(
                 "a static policy needs min_replicas == max_replicas"
@@ -158,15 +154,10 @@ AUTOSCALER_POLICIES: Dict[str, AutoscalerPolicy] = {
 BROKEN_AUTOSCALER_POLICIES: Dict[
     str, Tuple[AutoscalerPolicy, Tuple[str, ...]]
 ] = {
-    # No cooldown AND no hysteresis band: every evaluation may reverse
-    # the previous one — textbook flapping.
+    # Scale-up trigger on the scale-down floor: no hysteresis band, so
+    # every evaluation may reverse the previous one — textbook flapping.
     "flappy": (
-        AutoscalerPolicy(
-            name="flappy",
-            cooldown_s=0.0,
-            target=0.5,
-            down_target=0.5,
-        ),
+        AutoscalerPolicy(name="flappy", target=0.2),
         ("A001",),
     ),
     # Scale-down that aborts in-flight requests: configured data loss.
@@ -178,12 +169,6 @@ BROKEN_AUTOSCALER_POLICIES: Dict[
     "land-grab": (
         AutoscalerPolicy(name="land-grab", max_replicas=None),
         ("A003",),
-    ),
-    # Drains politely but throws the session KV away: every surviving
-    # session re-prefills its whole history.
-    "amnesiac": (
-        AutoscalerPolicy(name="amnesiac", migrate_kv=False),
-        ("A004",),
     ),
 }
 

@@ -402,17 +402,12 @@ class FleetSimulator(StreamingServer):
         now = self.loop.now
         sched = self.runtime._by_pool[info.name]
         moved_tokens = 0
-        if self.policy.migrate_kv:
-            for session_id in self.sessions.sessions_on(info.name):
-                target = self.runtime.route()
-                if target is None:
-                    self.sessions.drop_prefixes_on(info.name)
-                    break
-                moved_tokens += self.sessions.migrate_prefix(
-                    session_id, target
-                )
-        else:
-            self.sessions.drop_prefixes_on(info.name)
+        for session_id in self.sessions.sessions_on(info.name):
+            target = self.runtime.route()
+            if target is None:
+                self.sessions.drop_prefixes_on(info.name)
+                break
+            moved_tokens += self.sessions.migrate_prefix(session_id, target)
         if moved_tokens:
             # Ship time over the class interconnect; the replica bills
             # until the transfer lands.

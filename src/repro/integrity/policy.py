@@ -16,7 +16,7 @@ reconciles the expected findings exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import ClassVar, Dict, Optional, Tuple
 
 __all__ = [
     "IntegrityPolicy",
@@ -33,13 +33,12 @@ class IntegrityPolicy:
     Verification is modelled, not free: each enabled pass adds its cost
     fraction to every decode iteration (ABFT is ``O((K+M)N)`` against
     the SpMM's ``O(MKN)``, KV tag checks are a hash over resident
-    sequences), and a detected weight corruption pays a reload.
+    sequences), and a detected weight corruption pays a reload.  The
+    costs are class constants: every policy pays the same.
     """
 
     name: str
-    #: KV blocks carry content tags (cheap to write; pointless unless
-    #: somebody verifies them — rule C001).
-    tag_kv: bool = False
+    # Verify flags stay settable: ABFT misses are measured without the digest.
     #: Check resident/migrated KV content tags every decode iteration
     #: and on every migration receive.
     verify_kv: bool = False
@@ -47,27 +46,21 @@ class IntegrityPolicy:
     verify_kernels: bool = False
     #: Check weight tile digests (catches persistent bit flips).
     verify_weights: bool = False
-    #: Per-iteration cost of the kernel ABFT pass, as a fraction of the
-    #: iteration's decode time.
-    kernel_check_cost_frac: float = 0.02
-    #: Per-iteration cost of KV tag verification, same units.
-    kv_check_cost_frac: float = 0.005
-    #: Seconds to reload a weight shard after a digest mismatch.
-    weight_reload_s: float = 0.05
     #: Quarantine a replica after this many detected corruptions
     #: (None = never).  1 is a hair trigger — a single transient flip
     #: permanently removes capacity (rule C003).
     quarantine_after: Optional[int] = None
+    #: Per-iteration cost of the kernel ABFT pass, as a fraction of the
+    #: iteration's decode time.
+    kernel_check_cost_frac: ClassVar[float] = 0.02
+    #: Per-iteration cost of KV tag verification, same units.
+    kv_check_cost_frac: ClassVar[float] = 0.005
+    #: Seconds to reload a weight shard after a digest mismatch.
+    weight_reload_s: ClassVar[float] = 0.05
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("policy needs a name")
-        for attr in ("kernel_check_cost_frac", "kv_check_cost_frac"):
-            frac = getattr(self, attr)
-            if not 0.0 <= frac < 1.0:
-                raise ValueError(f"{attr} must be in [0, 1), got {frac}")
-        if self.weight_reload_s < 0:
-            raise ValueError("weight_reload_s cannot be negative")
         if self.quarantine_after is not None and self.quarantine_after <= 0:
             raise ValueError(
                 "quarantine_after must be positive (or None to disable)"
@@ -78,21 +71,17 @@ class IntegrityPolicy:
         return self.verify_kv or self.verify_kernels or self.verify_weights
 
 
-#: The shipped policies.  "off" exists so sweeps can name the control
-#: arm; passing ``integrity=None`` is equivalent and is what OFF means
-#: for the bit-identity gate.
+#: The shipped policies.  Passing ``integrity=None`` is the OFF switch
+#: (the harness's verify-off arm and the bit-identity gate).
 INTEGRITY_POLICIES: Dict[str, IntegrityPolicy] = {
-    "off": IntegrityPolicy(name="off"),
     "verify": IntegrityPolicy(
         name="verify",
-        tag_kv=True,
         verify_kv=True,
         verify_kernels=True,
         verify_weights=True,
     ),
     "quarantine": IntegrityPolicy(
         name="quarantine",
-        tag_kv=True,
         verify_kv=True,
         verify_kernels=True,
         verify_weights=True,
@@ -102,26 +91,11 @@ INTEGRITY_POLICIES: Dict[str, IntegrityPolicy] = {
 
 #: Deliberately broken policies -> the C-rule ids each must trip.
 BROKEN_INTEGRITY_POLICIES: Dict[str, Tuple[IntegrityPolicy, Tuple[str, ...]]] = {
-    # Writes tags on every KV block, never checks one: pure overhead,
-    # zero protection on the migration path.
-    "tag-and-pray": (
-        IntegrityPolicy(name="tag-and-pray", tag_kv=True),
-        ("C001",),
-    ),
-    # Kernel ABFT on, but migrated KV ships tagged and unchecked — the
-    # disagg/session-ship path serves whatever arrives.
-    "blind-check": (
-        IntegrityPolicy(
-            name="blind-check", tag_kv=True, verify_kernels=True
-        ),
-        ("C001",),
-    ),
     # One detection permanently removes a replica: a single transient
     # flip halves the fleet.
     "hair-trigger-quarantine": (
         IntegrityPolicy(
             name="hair-trigger-quarantine",
-            tag_kv=True,
             verify_kv=True,
             verify_kernels=True,
             verify_weights=True,
@@ -134,19 +108,6 @@ BROKEN_INTEGRITY_POLICIES: Dict[str, Tuple[IntegrityPolicy, Tuple[str, ...]]] = 
     "quarantine-without-eyes": (
         IntegrityPolicy(name="quarantine-without-eyes", quarantine_after=3),
         ("C003",),
-    ),
-    # Verification enabled and modelled as free: every goodput number
-    # downstream silently overstates the protected configuration.
-    "free-verification": (
-        IntegrityPolicy(
-            name="free-verification",
-            tag_kv=True,
-            verify_kv=True,
-            verify_kernels=True,
-            kernel_check_cost_frac=0.0,
-            kv_check_cost_frac=0.0,
-        ),
-        ("C004",),
     ),
 }
 

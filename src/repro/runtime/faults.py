@@ -30,7 +30,7 @@ depend on the order other requests failed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -311,23 +311,24 @@ RECOVERY_MODES = ("fail_fast", "retry", "reroute")
 class RecoveryPolicy:
     """What the serving layer does when a fault takes a request down.
 
-    Deliberately constructible in BROKEN configurations (zero backoff,
-    unbounded budgets, hair-trigger deadlines): judging a policy is the
-    R-rule linter's job (:func:`repro.analysis.fault_lint.lint_recovery_policy`),
+    Only ``mode`` and ``backoff_base_s`` differ between the shipped
+    policies; every other knob is a class constant that they all share.
+    A zero base backoff is constructible on purpose: judging it is rule
+    R001's job (:func:`repro.analysis.fault_lint.lint_recovery_policy`),
     not the constructor's.
     """
 
     name: str
     mode: str = "fail_fast"
-    max_retries: int = 0
     backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
-    jitter_frac: float = 0.1
-    #: Per-request deadline from arrival; None disables timeouts.
-    deadline_s: Optional[float] = None
-    #: Shed arrivals when a pool's waiting queue reaches this depth;
-    #: None disables load shedding.
-    shed_queue_depth: Optional[int] = None
+    #: Retry budget per request (``fail_fast`` never retries).
+    max_retries: ClassVar[int] = 3
+    backoff_factor: ClassVar[float] = 2.0
+    jitter_frac: ClassVar[float] = 0.1
+    #: Per-request deadline from arrival.
+    deadline_s: ClassVar[float] = 120.0
+    #: Shed arrivals when a pool's waiting queue reaches this depth.
+    shed_queue_depth: ClassVar[int] = 512
 
     def __post_init__(self) -> None:
         if self.mode not in RECOVERY_MODES:
@@ -345,50 +346,13 @@ class RecoveryPolicy:
         jitter = 1.0 + self.jitter_frac * (2.0 * det_hash01(key, attempt) - 1.0)
         return max(base * jitter, 0.0)
 
-    def to_dict(self) -> Dict:
-        return {
-            "name": self.name,
-            "mode": self.mode,
-            "max_retries": self.max_retries,
-            "backoff_base_s": self.backoff_base_s,
-            "backoff_factor": self.backoff_factor,
-            "jitter_frac": self.jitter_frac,
-            "deadline_s": self.deadline_s,
-            "shed_queue_depth": self.shed_queue_depth,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "RecoveryPolicy":
-        return cls(**data)
-
 
 #: Sane builtin policies — the three the chaos benchmark compares.
 RECOVERY_POLICIES: Dict[str, RecoveryPolicy] = {
-    "fail-fast": RecoveryPolicy(
-        name="fail-fast",
-        mode="fail_fast",
-        deadline_s=120.0,
-        shed_queue_depth=512,
-    ),
-    "retry": RecoveryPolicy(
-        name="retry",
-        mode="retry",
-        max_retries=3,
-        backoff_base_s=0.05,
-        backoff_factor=2.0,
-        jitter_frac=0.1,
-        deadline_s=120.0,
-        shed_queue_depth=512,
-    ),
+    "fail-fast": RecoveryPolicy(name="fail-fast", mode="fail_fast"),
+    "retry": RecoveryPolicy(name="retry", mode="retry", backoff_base_s=0.05),
     "reroute": RecoveryPolicy(
-        name="reroute",
-        mode="reroute",
-        max_retries=3,
-        backoff_base_s=0.02,
-        backoff_factor=2.0,
-        jitter_frac=0.1,
-        deadline_s=120.0,
-        shed_queue_depth=512,
+        name="reroute", mode="reroute", backoff_base_s=0.02
     ),
 }
 
@@ -399,32 +363,8 @@ RECOVERY_POLICIES: Dict[str, RecoveryPolicy] = {
 #: gate.
 BROKEN_RECOVERY_POLICIES: Dict[str, Tuple[RecoveryPolicy, Tuple[str, ...]]] = {
     "spin-retry": (
-        RecoveryPolicy(
-            name="spin-retry",
-            mode="retry",
-            max_retries=10**6,
-            backoff_base_s=0.0,
-            jitter_frac=0.0,
-        ),
-        ("R001", "R002"),
-    ),
-    "hair-trigger-timeout": (
-        RecoveryPolicy(
-            name="hair-trigger-timeout",
-            mode="retry",
-            max_retries=3,
-            deadline_s=1e-4,
-        ),
-        ("R003",),
-    ),
-    "shed-everything": (
-        RecoveryPolicy(
-            name="shed-everything",
-            mode="reroute",
-            max_retries=2,
-            shed_queue_depth=0,
-        ),
-        ("R004",),
+        RecoveryPolicy(name="spin-retry", mode="retry", backoff_base_s=0.0),
+        ("R001",),
     ),
 }
 
@@ -773,10 +713,7 @@ class FaultTolerantRuntime:
             return
         self._location[req.request_id] = sched
         self._attempts.setdefault(req.request_id, 1)
-        if (
-            self.recovery.deadline_s is not None
-            and req.request_id not in self._deadlines
-        ):
+        if req.request_id not in self._deadlines:
             deadline = max(req.arrival_s + self.recovery.deadline_s, now)
             self._deadlines[req.request_id] = self.loop.schedule_at(
                 deadline, lambda: self._deadline_fired(req)
@@ -819,7 +756,7 @@ class FaultTolerantRuntime:
         name = sched.pool.name
         count = self._corruptions.get(name, 0) + 1
         self._corruptions[name] = count
-        after = getattr(pol, "quarantine_after", None)
+        after = pol.quarantine_after
         if after is None or count < after or not sched.pool.alive:
             return
         self.stats.quarantines += 1

@@ -353,17 +353,18 @@ class ContinuousBatchingScheduler:
             self.stats.rejected.append(req)
             self._resolve(req)
             return
-        shed_depth = (
-            self.router.recovery.shed_queue_depth
-            if self.router is not None
-            else None
-        )
-        if shed_depth is not None and len(self._policy) >= shed_depth:
+        if (
+            self.router is not None
+            and len(self._policy) >= self.router.recovery.shed_queue_depth
+        ):
             # Load shedding: reject-with-reason at admission instead of
             # letting a degraded fleet's queue collapse into timeouts.
             self.trace.record(
                 now, EventKind.SHED, req.request_id, self.pool.name,
-                reason=f"queue depth {len(self._policy)} at limit {shed_depth}",
+                reason=(
+                    f"queue depth {len(self._policy)} at limit "
+                    f"{self.router.recovery.shed_queue_depth}"
+                ),
             )
             self.stats.shed.append(req)
             self._resolve(req)
@@ -605,17 +606,7 @@ class ContinuousBatchingScheduler:
         decode_time = 0.0
         if decoders:
             decoders = self._ensure_decode_capacity(decoders)
-        self._iter_corrupt = False
-        if decoders and self._sdc_frac > 0.0:
-            # Per-iteration corruption draw, a pure hash keyed on a
-            # monotone draw counter and the pool name — never a shared
-            # RNG, so the verdict one iteration sees cannot depend on
-            # what any other pool did (replay determinism).
-            self._sdc_draws += 1
-            self._iter_corrupt = (
-                det_hash01(self._sdc_draws, self._pool_salt)
-                < self._sdc_frac
-            )
+        self._iter_corrupt = self._draw_sdc() if decoders else False
         if decoders:
             contexts = [alloc.sequence(s.seq_id).tokens for s in decoders]
             avg_context = sum(contexts) / len(decoders)
@@ -690,7 +681,7 @@ class ContinuousBatchingScheduler:
                 return  # detected: the iteration reruns (or the pool
                 # was quarantined and the router took the victims)
         pol = self.integrity
-        if pol is not None and getattr(pol, "verify_kv", False):
+        if pol is not None and pol.verify_kv:
             if not self._verify_kv_tags(decoders):
                 return  # quarantined mid-scan
         for seq in decoders:
@@ -811,6 +802,16 @@ class ContinuousBatchingScheduler:
     # ``stats.corrupted_completed``); with verification on, each is
     # caught at a modelled cost and the work redone.
 
+    def _draw_sdc(self) -> bool:
+        """Per-iteration corruption draw while an SDC window is open: a
+        pure hash keyed on a monotone draw counter and the pool name —
+        never a shared RNG, so the verdict one iteration sees cannot
+        depend on what any other pool did (replay determinism)."""
+        if self._sdc_frac <= 0.0:
+            return False
+        self._sdc_draws += 1
+        return det_hash01(self._sdc_draws, self._pool_salt) < self._sdc_frac
+
     def _verification_cost(self, step_s: float) -> float:
         """Modelled per-iteration verification seconds: the ABFT
         checksum over the decode SpMMs plus the KV content-tag scan,
@@ -819,10 +820,10 @@ class ContinuousBatchingScheduler:
         if pol is None:
             return 0.0
         frac = 0.0
-        if getattr(pol, "verify_kernels", False):
-            frac += getattr(pol, "kernel_check_cost_frac", 0.0)
-        if getattr(pol, "verify_kv", False):
-            frac += getattr(pol, "kv_check_cost_frac", 0.0)
+        if pol.verify_kernels:
+            frac += pol.kernel_check_cost_frac
+        if pol.verify_kv:
+            frac += pol.kv_check_cost_frac
         return step_s * frac
 
     def _handle_corrupt_iteration(
@@ -846,8 +847,8 @@ class ContinuousBatchingScheduler:
                 source="sdc_iteration", batch=len(live),
             )
         detected = pol is not None and (
-            (iter_corrupt and getattr(pol, "verify_kernels", False))
-            or (weights_corrupt and getattr(pol, "verify_weights", False))
+            (iter_corrupt and pol.verify_kernels)
+            or (weights_corrupt and pol.verify_weights)
         )
         if not detected:
             # Silent: the wrong tokens are served as if correct.
@@ -862,7 +863,7 @@ class ContinuousBatchingScheduler:
         reload_s = 0.0
         if weights_corrupt:
             self._weights_corrupted = False
-            reload_s = float(getattr(pol, "weight_reload_s", 0.0))
+            reload_s = pol.weight_reload_s
         self.stats.sdc_detected += 1
         self.stats.wasted_recompute_tokens += len(live)
         self.stats.verification_s += reload_s
@@ -874,12 +875,7 @@ class ContinuousBatchingScheduler:
             self.router.on_corruption_detected(self)
             if self.failed:
                 return True  # quarantined: fail_pool rerouted the batch
-        if self._sdc_frac > 0.0:
-            self._sdc_draws += 1
-            self._iter_corrupt = (
-                det_hash01(self._sdc_draws, self._pool_salt)
-                < self._sdc_frac
-            )
+        self._iter_corrupt = self._draw_sdc()
         self._iter_handle = loop.schedule_after(
             self._iter_cost + reload_s,
             lambda: self._finish_iteration(decoders),
@@ -1183,7 +1179,7 @@ class DisaggregatedRuntime:
                 source="kv_migration", batch=len(batch), attempt=attempt,
             )
             pol = self.integrity
-            if pol is not None and getattr(pol, "verify_kv", False):
+            if pol is not None and pol.verify_kv:
                 # Content-tag mismatch on receive: the cache arrived
                 # garbled.  Drop it and re-send from the still-pinned
                 # prefill blocks — recompute-from-source, NOT a retry-
@@ -1192,7 +1188,7 @@ class DisaggregatedRuntime:
                 stats.sdc_detected += 1
                 tokens = sum(r.prompt_len for r in batch)
                 resend = self.migration_seconds(tokens)
-                check_s = resend * getattr(pol, "kv_check_cost_frac", 0.0)
+                check_s = resend * pol.kv_check_cost_frac
                 stats.verification_s += check_s
                 stats.retries += 1
                 self.kv_migration_s += resend

@@ -321,8 +321,8 @@ class SessionManager:
         # the session.
         src_alloc = source.pool.allocator
         version = src_alloc.sequence(entry.seq_id).payload_version
-        pol = getattr(self.runtime, "integrity", None)
-        if version != 0 and pol is not None and getattr(pol, "verify_kv", False):
+        pol = self.runtime.integrity
+        if version != 0 and pol is not None and pol.verify_kv:
             target_sched.stats.sdc_detected += 1
             target_sched.trace.record(
                 target_sched.loop.now,
@@ -351,9 +351,9 @@ class SessionManager:
         return tokens
 
     def drop_prefixes_on(self, pool_name: str) -> int:
-        """Drop every prefix resident on ``pool_name`` (the
-        drain-without-migration path — lint rule A004 flags policies
-        that choose this).  Returns how many sessions lost their cache."""
+        """Drop every prefix resident on ``pool_name`` (a drain that
+        finds no routable survivor to migrate them to).  Returns how
+        many sessions lost their cache."""
         dropped = 0
         for session_id in self.sessions_on(pool_name):
             self._drop_prefix(session_id)

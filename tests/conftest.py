@@ -27,7 +27,7 @@ pytest_plugins = ["pytester"]
 @pytest.fixture(scope="session")
 def experiments():
     """Every registered experiment, run once: registry id -> Experiment."""
-    from repro.cli import EXPERIMENTS
+    from repro.bench.report import EXPERIMENTS
 
     return {exp_id: EXPERIMENTS[exp_id]() for exp_id in sorted(EXPERIMENTS)}
 

@@ -34,13 +34,12 @@ class TestReport:
 
     def test_write_report(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        import repro.cli as cli
+        from repro.bench import report
         from repro.bench.format_bench import fig03_compression
-        from repro.bench.report import write_report
 
         # Patch the registry to keep the test fast.
-        monkeypatch.setattr(cli, "EXPERIMENTS", {"fig03": fig03_compression})
-        path = write_report()
+        monkeypatch.setattr(report, "EXPERIMENTS", {"fig03": fig03_compression})
+        path = report.write_report()
         assert path == str(Path("results") / "REPORT.md")
         with open(tmp_path / path) as fh:
             assert "fig03" in fh.read()

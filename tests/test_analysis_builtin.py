@@ -27,10 +27,10 @@ class TestFindings:
             "K001", "K002", "K003", "K004", "K005",
             "O001", "O002", "O003", "O004",
             "D001", "D002", "D003", "D004",
-            "R001", "R002", "R003", "R004", "R005",
-            "C001", "C002", "C003", "C004", "C005",
+            "R001", "R005",
+            "C002", "C003", "C005",
             "Q001", "Q002", "Q003", "Q004",
-            "A001", "A002", "A003", "A004", "A005",
+            "A001", "A002", "A003", "A005",
             "S001", "S002", "S003", "S004", "S005", "S006",
             "H002",
         }

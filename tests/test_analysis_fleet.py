@@ -29,11 +29,11 @@ class TestRegistration:
         assert "A" in FAMILIES
         fam = FAMILIES["A"]
         assert fam.gate == "--fleet"
-        assert fam.rule_ids == ("A001", "A002", "A003", "A004", "A005")
+        assert fam.rule_ids == ("A001", "A002", "A003", "A005")
 
     def test_a_rules_in_catalogue(self):
         rows = {r["rule_id"] for r in rule_table() if r["family"] == "A"}
-        assert rows == {"A001", "A002", "A003", "A004", "A005"}
+        assert rows == {"A001", "A002", "A003", "A005"}
 
 
 class TestAutoscalerPolicyLint:
@@ -46,13 +46,9 @@ class TestAutoscalerPolicyLint:
         policy, expected = BROKEN_AUTOSCALER_POLICIES[name]
         assert rule_ids(lint_autoscaler_policy(policy)) == sorted(expected)
 
-    def test_a001_zero_cooldown(self):
-        p = AutoscalerPolicy(name="p", cooldown_s=0.0)
-        assert "A001" in rule_ids(lint_autoscaler_policy(p))
-
     def test_a001_empty_hysteresis_band(self):
-        p = AutoscalerPolicy(name="p", target=0.5, down_target=0.5)
-        assert "A001" in rule_ids(lint_autoscaler_policy(p))
+        p = AutoscalerPolicy(name="p", target=AutoscalerPolicy.down_target)
+        assert rule_ids(lint_autoscaler_policy(p)) == ["A001"]
 
     def test_a002_kill_in_flight(self):
         p = AutoscalerPolicy(name="p", kill_in_flight=True)
@@ -68,16 +64,12 @@ class TestAutoscalerPolicyLint:
         ok = AutoscalerPolicy(name="p", max_replicas=MAX_SANE_REPLICAS)
         assert lint_autoscaler_policy(ok) == []
 
-    def test_a004_dropped_kv(self):
-        p = AutoscalerPolicy(name="p", migrate_kv=False)
-        assert rule_ids(lint_autoscaler_policy(p)) == ["A004"]
-
     def test_static_policies_exempt_from_dynamic_rules(self):
-        # A static policy never scales: its cooldown/band/kill knobs
-        # are inert, so none of the dynamic-shape rules apply.
+        # A static policy never scales: its band/kill knobs are inert,
+        # so none of the dynamic-shape rules apply.
         p = AutoscalerPolicy(
             name="p", mode="static", min_replicas=2, max_replicas=2,
-            cooldown_s=0.0, kill_in_flight=True, migrate_kv=False,
+            target=AutoscalerPolicy.down_target, kill_in_flight=True,
         )
         assert lint_autoscaler_policy(p) == []
 

@@ -5,7 +5,7 @@ width), a unique id, and non-empty metrics — the contract the report
 generator relies on.  They read the session's registry run.
 """
 
-from repro.cli import EXPERIMENTS
+from repro.bench.report import EXPERIMENTS
 
 
 def test_registry_ids_unique():

@@ -277,20 +277,15 @@ class TestFleetSimulator:
         assert out.kv_migrations > 0
         assert out.kv_migrated_tokens > 0
 
-    def test_amnesiac_drops_instead_of_migrating(self):
-        amnesiac = BROKEN_AUTOSCALER_POLICIES["amnesiac"][0]
-        out = run_fleet_policy(QUICK, amnesiac)
-        assert out.kv_migrations == 0
-        assert out.prefix_leaked_blocks == 0
-
-    def test_kill_in_flight_sheds_resident_work(self):
+    def test_kill_in_flight_sheds_resident_work(self, monkeypatch):
         # A hair-trigger hysteresis floor forces a scale-down while the
         # victim still holds work, so the A002 kill path actually fires
         # (the builtin reaper's victims are idle by the time utilization
-        # crosses its floor).
+        # crosses its floor).  No shipped policy has these values.
+        monkeypatch.setattr(AutoscalerPolicy, "down_target", 0.45)
+        monkeypatch.setattr(AutoscalerPolicy, "cooldown_s", 0.5)
         hot_reaper = AutoscalerPolicy(
-            name="hot-reaper", kill_in_flight=True,
-            target=0.5, down_target=0.45, cooldown_s=0.5,
+            name="hot-reaper", kill_in_flight=True, target=0.5
         )
         out = run_fleet_policy(
             FleetConfig(quick=True, profile="bursty"), hot_reaper

@@ -102,6 +102,15 @@ def test_serving_paths_load_no_lint_bench_or_warp_simulator(entry):
     assert not offending, f"importing {entry} loads {offending}"
 
 
+def test_cli_loads_no_experiment():
+    # Every subcommand imports repro.cli; the experiment registry
+    # (repro.bench.report) loads only when `bench` or `report` runs.
+    loaded = _run(_LOADED, "repro.cli", SRC)
+    allowed = {"repro.bench", "repro.bench.harness"}  # format_table
+    offending = [m for m in loaded if _off_path(m) and m not in allowed]
+    assert not offending, f"importing repro.cli loads {offending}"
+
+
 def _package_inits():
     for init in sorted((SRC / "repro").rglob("__init__.py")):
         package = ".".join(init.parent.relative_to(SRC).parts)

@@ -20,8 +20,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.report import render_report
-from repro.cli import EXPERIMENTS, main
+from repro.bench.report import EXPERIMENTS, render_report
+from repro.cli import main
 
 #: ``repro <command> --json`` -> sha256 of its stdout.
 REPLAYS = {
