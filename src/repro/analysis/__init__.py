@@ -16,7 +16,7 @@ machine-checked properties that run without executing anything:
   (``K001``–``K005``), offload feasibility (``O001``–``O004``) and
   disaggregated configurations (``D001``–``D004``);
 * :mod:`~repro.analysis.fault_lint` — recovery-policy backoff
-  (``R001``) and fault-run conservation audits (``R005``);
+  (``R001``);
 * :mod:`~repro.analysis.integrity_lint` — served-despite-detection
   (``C002``), unreachable or hair-trigger quarantine (``C003``) and
   SDC-run ledger audits (``C005``);

@@ -7,10 +7,11 @@ scale-down that aborts in-flight work converts elasticity into an
 outage, and a missing replica ceiling turns one traffic spike into an
 unbounded bill.  ``lint_autoscaler_policy`` catches those shapes
 *before* a fleet run (A001–A003); ``lint_fleet_outcome`` audits the
-run afterwards (A005): every submitted turn in exactly one terminal
-bucket across all scale events, a consistent replica lifecycle log,
-non-negative cost, the policy's own bounds respected, and zero leaked
-prefix blocks.
+run afterwards (A005): as many verdicts as submitted turns across all
+scale events, a consistent replica lifecycle log, non-negative cost,
+the policy's own bounds respected, and zero leaked prefix blocks.  (A
+second verdict for one turn is refused as it is written, by
+:meth:`~repro.runtime.scheduler.RuntimeStats.terminate`.)
 
 ``check_builtin_fleet_artifacts`` is the sweep ``repro lint --fleet``
 runs: every replica class of every builtin fleet must pass the
@@ -18,20 +19,19 @@ existing M/T (deployment) and K (KV-plan) rules; the shipped
 autoscaler policies must lint clean; each fixture in
 :data:`~repro.fleet.autoscaler.BROKEN_AUTOSCALER_POLICIES` must trip
 exactly its documented rules; and live quick fleet runs — including a
-fault arm and the kill-in-flight fixture — must pass the A005 audit
-and the runtime-trace rules.
+fault arm and the kill-in-flight fixture — must pass the A005 audit.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, List
 
+from ..runtime.scheduler import RuntimeStats
 from .deploy_model import (
     kv_plan_for_spec,
     spec_kv_budget_bytes,
     spec_kv_bytes_per_token,
 )
-from .fault_lint import lint_terminal_partition
 from .findings import (
     Finding,
     Report,
@@ -68,10 +68,10 @@ register_rules(
              "no (or an absurd) replica ceiling: a traffic spike or a "
              "feedback bug writes a blank check against the fleet budget"),
         Rule("A005", "fleet-trace-inconsistent", Severity.ERROR,
-             "fleet outcome violates conservation: submitted turns not "
-             "partitioned into terminal buckets, an inconsistent replica "
-             "lifecycle log, negative cost, a violated replica bound, or "
-             "leaked prefix blocks"),
+             "fleet outcome violates conservation: submitted turns "
+             "missing from (or extra in) the terminal buckets, an "
+             "inconsistent replica lifecycle log, negative cost, a "
+             "violated replica bound, or leaked prefix blocks"),
     ],
 )
 
@@ -148,11 +148,15 @@ def lint_fleet_spec(fleet: FleetSpec) -> List[Finding]:
 def lint_fleet_outcome(outcome, subject: str = "fleet") -> List[Finding]:
     """A005 conservation audit over a finished :class:`FleetOutcome`.
 
-    Duck-typed (like the R005 audit) so corrupted outcomes from tests
-    exercise the same path as live runs.
+    Duck-typed so corrupted outcomes from tests exercise the same path
+    as live runs.
     """
     stats = outcome.stats
-    findings, terminal = lint_terminal_partition(stats, "A005", "turn", subject)
+    findings: List[Finding] = []
+    terminal = sum(
+        len(getattr(stats, bucket))
+        for bucket in sorted(RuntimeStats.BUCKETS.values())
+    )
     if terminal != outcome.turns_submitted:
         findings.append(
             Finding(
@@ -230,8 +234,7 @@ def check_builtin_fleet_artifacts(run_fleet: bool = True) -> Report:
     lints every shipped autoscaler policy (good clean, broken
     reconciled), and — when ``run_fleet`` is set — replays quick fleet
     scenarios (fault-free, the chaos-mix arm, and the kill-in-flight
-    fixture) and audits each outcome for A005 conservation plus the
-    runtime-trace rules.
+    fixture) and audits each outcome for A005 conservation.
     """
     from ..fleet.autoscaler import (
         AUTOSCALER_POLICIES,
@@ -260,7 +263,6 @@ def check_builtin_fleet_artifacts(run_fleet: bool = True) -> Report:
         report.checked += 1
     if run_fleet:
         from ..fleet.planner import FleetConfig, run_fleet_policy
-        from .plan_lint import lint_runtime_trace
 
         sweeps = [
             (FleetConfig(quick=True), "target-util"),
@@ -277,7 +279,6 @@ def check_builtin_fleet_artifacts(run_fleet: bool = True) -> Report:
                 f"/{policy_name}"
             )
             report.extend(lint_fleet_outcome(outcome, subject=subject))
-            report.extend(lint_runtime_trace(outcome.stats.trace))
             report.checked += 1
         # The A002 fixture run: losses must be *accounted* (shed), so
         # even deliberate data loss keeps A005 conservation clean.

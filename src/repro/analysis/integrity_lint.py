@@ -4,10 +4,11 @@ An integrity layer that is misconfigured is worse than none: it costs
 throughput while advertising protection it does not deliver.  The C
 rules catch the shapes that make it a lie — corruption detected yet
 served anyway (C002), quarantine that can never fire or fires on the
-first transient (C003) — and audit finished runs for counter/trace
-conservation (C005): every injected corruption, detection, and
-quarantine in the stats must appear in the trace, and vice versa.  The
-verification costs are class constants of
+first transient (C003) — and audit finished runs' ledgers (C005): no
+more detections than injections, none without a verifier, no negative
+verification time.  The SDC counts are read from the run's trace, so
+they cannot disagree with it.  The verification costs are class
+constants of
 :class:`~repro.integrity.policy.IntegrityPolicy`, so no policy can
 model a check as free.
 
@@ -27,7 +28,6 @@ from ..integrity.policy import (
     INTEGRITY_POLICIES,
     IntegrityPolicy,
 )
-from ..runtime.events import EventKind
 from .findings import (
     Finding,
     Report,
@@ -55,10 +55,9 @@ register_rules(
              "pass produces detections) or triggers on the first detection "
              "(one transient flip permanently removes a replica)"),
         Rule("C005", "integrity-trace-inconsistent", Severity.ERROR,
-             "stats counters and trace disagree: injected/detected/"
-             "quarantine counts must match their corrupt/corrupt_detected/"
-             "quarantine trace events, detections cannot exceed "
-             "injections, and verification time cannot be negative"),
+             "the SDC ledger does not balance: detections exceed "
+             "injections, detections with no verifier attached, or "
+             "negative verification time"),
     ],
 )
 
@@ -98,8 +97,8 @@ def lint_integrity_outcome(
 ) -> List[Finding]:
     """C002/C005 audit over a finished run's ``RuntimeStats``.
 
-    Duck-typed on the stats object (like the R005 audit), so synthetic
-    probes from tests exercise the same path as live runs.
+    Duck-typed on the stats object, so synthetic probes from tests
+    exercise the same path as live runs.
     """
     findings: List[Finding] = []
     verifying = policy is not None and policy.verifies_anything
@@ -143,35 +142,6 @@ def lint_integrity_outcome(
                 subject=subject,
             )
         )
-    trace = getattr(stats, "trace", None)
-    if trace is not None:
-        counts = {
-            EventKind.CORRUPT: 0,
-            EventKind.CORRUPT_DETECTED: 0,
-            EventKind.QUARANTINE: 0,
-        }
-        for event in trace.events:
-            if event.kind in counts:
-                counts[event.kind] += 1
-        checks = (
-            ("sdc_injected", stats.sdc_injected,
-             EventKind.CORRUPT, counts[EventKind.CORRUPT]),
-            ("sdc_detected", stats.sdc_detected,
-             EventKind.CORRUPT_DETECTED, counts[EventKind.CORRUPT_DETECTED]),
-            ("quarantines", stats.quarantines,
-             EventKind.QUARANTINE, counts[EventKind.QUARANTINE]),
-        )
-        for counter, value, kind, traced in checks:
-            if value != traced:
-                findings.append(
-                    Finding(
-                        "C005",
-                        f"stats.{counter}={value} but the trace holds "
-                        f"{traced} {kind!r} event(s) — the integrity "
-                        "ledger does not balance",
-                        subject=subject,
-                    )
-                )
     return findings
 
 
@@ -182,9 +152,7 @@ class _SyntheticStats:
         self.sdc_injected = kw.get("sdc_injected", 0)
         self.sdc_detected = kw.get("sdc_detected", 0)
         self.corrupted_completed = kw.get("corrupted_completed", 0)
-        self.quarantines = kw.get("quarantines", 0)
         self.verification_s = kw.get("verification_s", 0.0)
-        self.trace = None
 
 
 def check_builtin_integrity_artifacts(run_live: bool = True) -> Report:
@@ -193,7 +161,7 @@ def check_builtin_integrity_artifacts(run_live: bool = True) -> Report:
     Shipped policies must be clean; broken ones must trip exactly their
     documented rules; two synthetic outcome probes must trip C002 and
     C005; and (with ``run_live``) a quick SDC run per plan and arm must
-    audit clean against its own trace.
+    audit clean.
     """
     report = Report()
     report.add_family("C")

@@ -535,45 +535,15 @@ def lint_runtime_trace(trace) -> List[Finding]:
     Auditing the whole trace proves the bookkeeping invariants held
     *throughout* the schedule — across admissions, chunked prefills,
     preemptions and migrations — not just in a hand-built example.
-
-    A corrupted trace is rejected, not tolerated: snapshots whose
-    timestamps run backwards (or negative), and event records out of
-    causal order, raise R005 findings on top of the K-rule audit —
-    negative block ids / token counts inside a snapshot already fail
-    K005 through the allocator rules.
+    Time order needs no check here: ``RuntimeTrace.record`` refuses an
+    event (snapshots included) earlier than the last one.
     """
     findings = []
-    last_t = None
-    for index, snap in enumerate(trace.snapshots):
+    for snap in trace.snapshots:
         subject = f"trace:{snap.pool}@t={snap.t:.3f}s"
-        if snap.t < 0:
-            findings.append(Finding(
-                "R005",
-                f"snapshot {index} captured at negative time {snap.t}",
-                subject=subject, location=index,
-            ))
-        elif last_t is not None and snap.t < last_t:
-            findings.append(Finding(
-                "R005",
-                f"snapshot {index} at t={snap.t} precedes snapshot "
-                f"{index - 1} at t={last_t} — timestamps must be "
-                "non-decreasing",
-                subject=subject, location=index,
-            ))
-        last_t = snap.t if last_t is None else max(last_t, snap.t)
         findings.extend(
             replace(f, subject=subject) for f in lint_kv_allocator(snap)
         )
-    prev = None
-    for index, event in enumerate(getattr(trace, "events", ()) or ()):
-        if event.t < 0 or (prev is not None and event.t < prev):
-            findings.append(Finding(
-                "R005",
-                f"event {index} ({event.kind}) at t={event.t} breaks "
-                "the trace's causal (non-decreasing time) order",
-                subject="trace:events", location=index,
-            ))
-        prev = event.t if prev is None else max(prev, event.t)
     return findings
 
 

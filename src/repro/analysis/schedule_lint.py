@@ -27,8 +27,8 @@ from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..runtime.core import EventLoop
+from ..runtime.scheduler import RuntimeStats
 from ..runtime.trace import RuntimeTrace
-from .fault_lint import TERMINAL_BUCKETS
 from .findings import (
     Finding,
     Report,
@@ -55,8 +55,9 @@ register_rules(
 )
 
 #: A scenario builds and runs a workload on the supplied loop and
-#: returns its terminal stats (with a ``trace``).
-Scenario = Callable[[EventLoop], object]
+#: returns its terminal stats (with a ``trace``) and its token stream
+#: (None when it streams nothing).
+Scenario = Callable[[EventLoop], Tuple[object, Optional[List]]]
 
 
 # ---------------------------------------------------------------------------
@@ -73,11 +74,11 @@ def _canonical_log(trace: RuntimeTrace) -> List[Tuple]:
     )
 
 
-def _stats_digest(stats) -> Dict:
+def _stats_digest(stats, stream: Optional[List]) -> Dict:
     digest: Dict = {
         "makespan_s": round(float(getattr(stats, "makespan_s", 0.0)), 9)
     }
-    for bucket in TERMINAL_BUCKETS:
+    for bucket in RuntimeStats.BUCKETS.values():
         digest[bucket] = sorted(
             r.request_id for r in getattr(stats, bucket, ())
         )
@@ -86,18 +87,18 @@ def _stats_digest(stats) -> Dict:
         "wasted_recompute_tokens",
     ):
         digest[counter] = getattr(stats, counter, 0)
-    digest["stream"] = getattr(stats, "stream", None)
+    digest["stream"] = stream
     return digest
 
 
 def dual_replay(scenario: Scenario, subject: str = "schedule") -> List[Finding]:
     """H002: the scenario must behave identically under both tie-breaks."""
-    stats_fifo = scenario(EventLoop(tie_break="fifo"))
-    stats_lifo = scenario(EventLoop(tie_break="lifo"))
+    stats_fifo, stream_fifo = scenario(EventLoop(tie_break="fifo"))
+    stats_lifo, stream_lifo = scenario(EventLoop(tie_break="lifo"))
     findings: List[Finding] = []
 
-    digest_fifo = _stats_digest(stats_fifo)
-    digest_lifo = _stats_digest(stats_lifo)
+    digest_fifo = _stats_digest(stats_fifo, stream_fifo)
+    digest_lifo = _stats_digest(stats_lifo, stream_lifo)
     if digest_fifo != digest_lifo:
         diffs = [
             k for k in digest_fifo if digest_fifo[k] != digest_lifo[k]
@@ -162,7 +163,7 @@ def _serving_scenario(policy: str, chunked: bool) -> Scenario:
         requests = poisson_workload(
             12, 6.0, prompt_len=64, output_len=48, seed=5
         )
-        return sched.run(requests, loop=loop)
+        return sched.run(requests, loop=loop), None
 
     return scenario
 
@@ -191,7 +192,7 @@ def _disagg_scenario() -> Scenario:
             SessionRequest(i, 0.0, dcfg.prompt_len, dcfg.output_len)
             for i in range(dcfg.batch_size)
         ]
-        return runtime.run(requests)
+        return runtime.run(requests), None
 
     return scenario
 
@@ -201,7 +202,7 @@ def _chaos_scenario(plan: str, policy: str) -> Scenario:
         from ..llm.chaos import ChaosConfig, run_chaos
 
         cfg = ChaosConfig(plan=plan).quick()
-        return run_chaos(cfg, policy, loop=loop)
+        return run_chaos(cfg, policy, loop=loop), None
 
     return scenario
 
@@ -215,7 +216,7 @@ def _server_scenario(plan: Optional[str]) -> Scenario:
         stats = server.run(cfg.workload())
         # The token stream is the server's observable output: H002
         # compares it along with the trace and the terminal stats.
-        return SimpleNamespace(**vars(stats), stream=server.stream.keys())
+        return stats, server.stream.keys()
 
     return scenario
 
@@ -229,7 +230,7 @@ def _fleet_scenario(plan: Optional[str]) -> Scenario:
             FleetConfig(fault_plan=plan, quick=True),
             AUTOSCALER_POLICIES["target-util"],
             loop=loop,
-        ).stats
+        ).stats, None
 
     return scenario
 
@@ -276,7 +277,7 @@ def _broken_order_dependent(loop: EventLoop):
         2.0, lambda: trace.record(2.0, "finish", 0, "toy", x=cell["x"])
     )
     loop.run()
-    return SimpleNamespace(trace=trace, makespan_s=loop.now)
+    return SimpleNamespace(trace=trace, makespan_s=loop.now), None
 
 
 #: name -> (scenario, expected rule ids).

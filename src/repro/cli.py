@@ -741,11 +741,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     # Target selection: --all-builtin sweeps the kernel-layer artifacts
     # (warp programs, pipeline traces, formats), --deployment sweeps the
     # deployment artifacts (specs, KV plans, offload, disaggregation,
-    # planner output), --faults sweeps recovery policies and chaos-run
-    # outcomes, --fleet sweeps autoscaler policies and quick fleet runs
-    # (flapping, kill-on-scale-down, unbounded ceilings, dropped KV,
-    # conservation), --server sweeps admission policies / session teardown /
-    # token-stream ordering, --source lints this repo's own Python for determinism
+    # planner output), --faults sweeps recovery policies, --fleet sweeps
+    # autoscaler policies and quick fleet runs (flapping,
+    # kill-on-scale-down, unbounded ceilings, conservation), --server
+    # sweeps admission policies / session teardown / token-stream
+    # ordering, --source lints this repo's own Python for determinism
     # hazards, --schedule dual-replays every builtin scenario under a
     # reversed same-time tie-break, --integrity sweeps integrity
     # policies and SDC-run ledger audits.  With no flag every sweep runs.
@@ -1095,7 +1095,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--faults", action="store_true",
         help="sweep the builtin recovery policies (good ones must be "
         "clean, deliberately broken ones must trip their documented "
-        "R rules) and audit quick chaos runs for conservation",
+        "R rules)",
     )
     p_lint.add_argument(
         "--fleet", action="store_true",

@@ -368,21 +368,17 @@ class FleetSimulator(StreamingServer):
     def _kill_resident(self, sched) -> int:
         now = self.loop.now
         killed = 0
-        for req in [s.req for s in list(sched._running)]:
-            if sched.evict(
-                req, EventKind.SHED, self.runtime.stats.shed,
-                reason="scale-down kill",
-            ):
+        for req in [s.req for s in sched._running.values()]:
+            if sched.evict(req, EventKind.SHED, reason="scale-down kill"):
                 killed += 1
         while True:
             queued = sched._policy.pop_ready(now)
             if queued is None:
                 break
-            self.runtime.trace.record(
-                now, EventKind.SHED, queued.request_id, sched.pool.name,
+            self.runtime.stats.terminate(
+                now, EventKind.SHED, queued, sched.pool.name,
                 reason="scale-down kill",
             )
-            self.runtime.stats.shed.append(queued)
             sched._resolve(queued)
             killed += 1
         return killed

@@ -118,11 +118,6 @@ class FleetSpec:
             sorted(self.classes, key=lambda c: (c.hourly_cost, c.name))
         )
 
-    @property
-    def max_replicas(self) -> int:
-        """Hard fleet-wide ceiling implied by the per-class caps."""
-        return sum(c.max_replicas for c in self.classes)
-
 
 def builtin_fleet_specs() -> Dict[str, FleetSpec]:
     """Pinned fleets used by ``repro fleet``, the bench and the lint

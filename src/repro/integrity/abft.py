@@ -25,7 +25,6 @@ import numpy as np
 __all__ = [
     "IntegrityError",
     "weight_checksum",
-    "output_colsum_gap",
     "verify_output",
     "verification_flops",
     "verification_cost_frac",
@@ -47,21 +46,6 @@ def weight_checksum(w_dense: np.ndarray) -> np.ndarray:
     if w.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {w.shape}")
     return w.astype(np.float64).sum(axis=0)
-
-
-def output_colsum_gap(
-    y: np.ndarray, x: np.ndarray, checksum_row: np.ndarray
-) -> float:
-    """Max absolute deviation between ``Y``'s column sums and ``c @ X``.
-
-    ``X`` is quantised through FP16 first, exactly as the functional
-    kernels quantise their activation operand, so a clean product's gap
-    is pure accumulation-order rounding.
-    """
-    xq = np.asarray(x, dtype=np.float16).astype(np.float64)
-    expected = np.asarray(checksum_row, dtype=np.float64) @ xq
-    colsum = np.asarray(y, dtype=np.float64).sum(axis=0)
-    return float(np.max(np.abs(colsum - expected))) if expected.size else 0.0
 
 
 def verify_output(

@@ -704,11 +704,9 @@ class FaultTolerantRuntime:
         if sched is None:
             sched = self.route()
         if sched is None:
-            self.trace.record(
-                now, EventKind.SHED, req.request_id, "router",
-                reason="no alive pools",
+            self.stats.terminate(
+                now, EventKind.SHED, req, "router", reason="no alive pools"
             )
-            self.stats.shed.append(req)
             self.on_terminal(req)
             return
         self._location[req.request_id] = sched
@@ -759,7 +757,6 @@ class FaultTolerantRuntime:
         after = pol.quarantine_after
         if after is None or count < after or not sched.pool.alive:
             return
-        self.stats.quarantines += 1
         self.trace.record(
             self.loop.now, EventKind.QUARANTINE, None, name,
             detections=count,
@@ -775,11 +772,10 @@ class FaultTolerantRuntime:
             self.recovery.mode == "fail_fast"
             or attempt > self.recovery.max_retries
         ):
-            self.trace.record(
-                now, EventKind.FAIL, rid, sched.pool.name,
+            self.stats.terminate(
+                now, EventKind.FAIL, req, sched.pool.name,
                 reason=f"recovery exhausted after {attempt - 1} retry(ies)",
             )
-            self.stats.failed.append(req)
             self.on_terminal(req)
             return
         self._attempts[rid] = attempt + 1
@@ -797,11 +793,10 @@ class FaultTolerantRuntime:
         else:
             target = self.route()
             if target is None:
-                self.trace.record(
-                    now, EventKind.FAIL, rid, sched.pool.name,
+                self.stats.terminate(
+                    now, EventKind.FAIL, req, sched.pool.name,
                     reason="no alive pools",
                 )
-                self.stats.failed.append(req)
                 self.on_terminal(req)
                 return
             self.trace.record(
@@ -824,14 +819,13 @@ class FaultTolerantRuntime:
         reason = f"deadline {self.recovery.deadline_s}s exceeded"
         sched = self._location.get(rid)
         if sched is not None and sched.evict(
-            req, EventKind.TIMEOUT, self.stats.timed_out, reason=reason
+            req, EventKind.TIMEOUT, reason=reason
         ):
             return  # evict() resolved it through on_terminal
         # Not resident on any replica: it is waiting out a backoff.
-        self.trace.record(
-            self.loop.now, EventKind.TIMEOUT, rid, "router", reason=reason
+        self.stats.terminate(
+            self.loop.now, EventKind.TIMEOUT, req, "router", reason=reason
         )
-        self.stats.timed_out.append(req)
         self.on_terminal(req)
 
     def cancel_request(self, request_id: int) -> bool:
@@ -842,11 +836,10 @@ class FaultTolerantRuntime:
         if pending is None:
             return False
         req = pending[1]
-        self.trace.record(
-            self.loop.now, EventKind.CANCEL, request_id, "router",
+        self.stats.terminate(
+            self.loop.now, EventKind.CANCEL, req, "router",
             reason="client cancelled",
         )
-        self.stats.cancelled.append(req)
         self.on_terminal(req)
         return True
 

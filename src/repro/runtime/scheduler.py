@@ -32,7 +32,7 @@ import heapq
 import math
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from ..llm.inference import PhaseBreakdown
 from .core import EventLoop, GPUPool, det_hash01
@@ -76,6 +76,14 @@ class SeqState:
         return self.prefill_done >= self.prefill_target
 
 
+def _traced(kind: str) -> property:
+    """A count read from the trace, which records one ``kind`` event
+    per increment."""
+    return property(
+        lambda self: self.trace.count(kind) if self.trace is not None else 0
+    )
+
+
 @dataclass
 class RuntimeStats:
     """Aggregate outcome of one scheduler run.
@@ -84,9 +92,23 @@ class RuntimeStats:
     ``completed``, ``rejected`` (impossible at arrival — would never
     fit), ``shed`` (load-shedding under degraded capacity), ``failed``
     (recovery exhausted after faults), ``timed_out`` (deadline missed)
-    or ``cancelled``.  The fault-conservation linter (rule R005) and
-    the hypothesis property tests pin this partition down.
+    or ``cancelled``, through :meth:`terminate`, the only writer.
+
+    A count is a field only when no trace event records it one for one
+    (``iterations``, ``retries``, ``faults``, the token and time sums);
+    ``preemptions`` and the SDC counts are read from the trace.
     """
+
+    #: Terminal trace event kind -> the bucket it files a request in,
+    #: in report order.
+    BUCKETS: ClassVar[Dict[str, str]] = {
+        EventKind.FINISH: "completed",
+        EventKind.REJECT: "rejected",
+        EventKind.FAIL: "failed",
+        EventKind.SHED: "shed",
+        EventKind.TIMEOUT: "timed_out",
+        EventKind.CANCEL: "cancelled",
+    }
 
     completed: List = field(default_factory=list)
     rejected: List = field(default_factory=list)
@@ -97,20 +119,11 @@ class RuntimeStats:
     makespan_s: float = 0.0
     peak_batch: int = 0
     peak_concurrency: int = 0
-    preemptions: int = 0
     iterations: int = 0
     retries: int = 0
     faults: int = 0
     wasted_recompute_tokens: int = 0
-    #: Silent-data-corruption accounting (:mod:`repro.integrity`):
-    #: corruption events injected by the fault layer, events caught by
-    #: verification, corrupted requests that nevertheless reached the
-    #: ``completed`` bucket (only possible with verification off),
-    #: replicas quarantined, and modelled verification seconds.
-    sdc_injected: int = 0
-    sdc_detected: int = 0
-    corrupted_completed: int = 0
-    quarantines: int = 0
+    #: Modelled seconds of integrity verification (:mod:`repro.integrity`).
     verification_s: float = 0.0
     #: Prompt tokens actually prefilled vs. skipped via a shared
     #: session prefix — the pair the multi-turn bench compares.
@@ -121,6 +134,41 @@ class RuntimeStats:
     kv_budget_bytes: float = 0.0
     total_blocks: int = 0
     trace: Optional[RuntimeTrace] = None
+    #: request id -> terminal kind, for refusing a second verdict.
+    _verdicts: Dict[int, str] = field(default_factory=dict, init=False)
+
+    preemptions = _traced(EventKind.PREEMPT)
+    #: Silent corruptions injected, and caught by verification (a forked
+    #: corrupted prefix can be caught more than once).
+    sdc_injected = _traced(EventKind.CORRUPT)
+    sdc_detected = _traced(EventKind.CORRUPT_DETECTED)
+    quarantines = _traced(EventKind.QUARANTINE)
+
+    def terminate(self, t: float, kind: str, req, pool: str, **info) -> None:
+        """Record ``req``'s terminal ``kind`` event and file it in that
+        kind's bucket; refuse a second verdict or a short FINISH."""
+        rid = req.request_id
+        if rid in self._verdicts:
+            raise RuntimeError(
+                f"request {rid} already has verdict {self._verdicts[rid]!r}"
+            )
+        if kind == EventKind.FINISH and (
+            req.generated != req.output_len or req.finish_s is None
+        ):
+            raise RuntimeError(
+                f"request {rid} finishing with {req.generated}/"
+                f"{req.output_len} decode tokens, finish_s={req.finish_s}"
+            )
+        bucket = getattr(self, self.BUCKETS[kind])
+        self.trace.record(t, kind, rid, pool, **info)
+        bucket.append(req)
+        self._verdicts[rid] = kind
+
+    @property
+    def corrupted_completed(self) -> int:
+        """Corrupted requests that nevertheless completed (possible only
+        with verification off)."""
+        return sum(1 for r in self.completed if getattr(r, "corrupted", False))
 
     # ---- SLO metrics ----------------------------------------------------------------
 
@@ -252,7 +300,8 @@ class ContinuousBatchingScheduler:
         self._pool_salt = zlib.crc32(pool.name.encode()) & 0x7FFFFFFF
         self.failed = False
         self._policy: AdmissionPolicy = get_policy(policy)
-        self._running: List[SeqState] = []
+        #: Admitted sequences by seq id, in admission order.
+        self._running: Dict[int, SeqState] = {}
         self._committed_blocks = 0  # reserve-mode worst-case accounting
         self._busy = False
         self._admit_counter = 0
@@ -342,15 +391,14 @@ class ContinuousBatchingScheduler:
         if not self.pool.fits_at_all(total_tokens):
             # The legacy simulator parked such requests forever (the
             # admission loop never advanced the clock).  Reject loudly.
-            self.trace.record(
-                now, EventKind.REJECT, req.request_id, self.pool.name,
+            self.stats.terminate(
+                now, EventKind.REJECT, req, self.pool.name,
                 reason=(
                     f"needs {self.pool.blocks_for(total_tokens)} KV blocks "
                     f"for {total_tokens} tokens; the pool has "
                     f"{self.pool.allocator.total_blocks}"
                 ),
             )
-            self.stats.rejected.append(req)
             self._resolve(req)
             return
         if (
@@ -359,14 +407,13 @@ class ContinuousBatchingScheduler:
         ):
             # Load shedding: reject-with-reason at admission instead of
             # letting a degraded fleet's queue collapse into timeouts.
-            self.trace.record(
-                now, EventKind.SHED, req.request_id, self.pool.name,
+            self.stats.terminate(
+                now, EventKind.SHED, req, self.pool.name,
                 reason=(
                     f"queue depth {len(self._policy)} at limit "
                     f"{self.router.recovery.shed_queue_depth}"
                 ),
             )
-            self.stats.shed.append(req)
             self._resolve(req)
             return
         self._policy.push(req)
@@ -465,7 +512,7 @@ class ContinuousBatchingScheduler:
             self._committed_blocks += seq.reserved_blocks
         if req.start_s is None:
             req.start_s = t
-        self._running.append(seq)
+        self._running[seq.seq_id] = seq
         info = dict(
             prefill_target=target, prefill_s=cost,
             queue_s=t - req.arrival_s,
@@ -480,7 +527,7 @@ class ContinuousBatchingScheduler:
 
     def _victim(self, exclude: Optional[SeqState] = None) -> Optional[SeqState]:
         """Lowest-priority running sequence (vLLM's preemption order)."""
-        candidates = [s for s in self._running if s is not exclude]
+        candidates = [s for s in self._running.values() if s is not exclude]
         if not candidates:
             return None
         return max(
@@ -490,9 +537,8 @@ class ContinuousBatchingScheduler:
 
     def _preempt(self, seq: SeqState) -> int:
         freed = self.pool.allocator.free(seq.seq_id)
-        self._running.remove(seq)
+        del self._running[seq.seq_id]
         self._committed_blocks -= seq.reserved_blocks
-        self.stats.preemptions += 1
         self.trace.record(
             self._loop.now, EventKind.PREEMPT, seq.seq_id, self.pool.name,
             freed_blocks=freed, generated=seq.req.generated,
@@ -545,7 +591,7 @@ class ContinuousBatchingScheduler:
                     "pool cannot hold even one worst-case request"
                 )
             self._preempt(victim)
-            decoders = [s for s in decoders if s in self._running]
+            decoders = [s for s in decoders if s.seq_id in self._running]
 
     def _start_iteration(self) -> None:
         loop = self._loop
@@ -574,10 +620,10 @@ class ContinuousBatchingScheduler:
         chunk_done = 0
         if self.prefill_mode == "chunked":
             budget = self.chunk_tokens
-            for seq in list(self._running):
+            for seq in list(self._running.values()):
                 if budget <= 0:
                     break
-                if seq not in self._running:
+                if seq.seq_id not in self._running:
                     continue  # preempted while an earlier chunk made room
                 remaining = seq.prefill_target - seq.prefill_done
                 if remaining <= 0:
@@ -602,7 +648,7 @@ class ContinuousBatchingScheduler:
             self.stats.prefill_tokens += chunk_done
 
         # Decode step for every sequence past its prefill target.
-        decoders = [s for s in self._running if s.decoding]
+        decoders = [s for s in self._running.values() if s.decoding]
         decode_time = 0.0
         if decoders:
             decoders = self._ensure_decode_capacity(decoders)
@@ -660,7 +706,7 @@ class ContinuousBatchingScheduler:
             # rerun recomputes the same tokens without re-appending — no
             # duplication, just wasted work (which we count).
             self._pending_transients -= 1
-            live = sum(1 for s in decoders if s in self._running)
+            live = sum(1 for s in decoders if s.seq_id in self._running)
             self.stats.wasted_recompute_tokens += live
             self.trace.record(
                 now, EventKind.RETRY, None, self.pool.name,
@@ -673,7 +719,7 @@ class ContinuousBatchingScheduler:
         iter_corrupt = self._iter_corrupt
         self._iter_corrupt = False
         if (iter_corrupt or self._weights_corrupted) and any(
-            s in self._running for s in decoders
+            s.seq_id in self._running for s in decoders
         ):
             if self._handle_corrupt_iteration(
                 decoders, iter_corrupt, self._weights_corrupted
@@ -685,7 +731,7 @@ class ContinuousBatchingScheduler:
             if not self._verify_kv_tags(decoders):
                 return  # quarantined mid-scan
         for seq in decoders:
-            if seq not in self._running:
+            if seq.seq_id not in self._running:
                 continue  # evicted mid-iteration (timeout/cancel/crash)
             req = seq.req
             req.generated += 1
@@ -709,17 +755,14 @@ class ContinuousBatchingScheduler:
                     # Completed on garbled KV that verification never
                     # looked at — the silently-served-corruption case.
                     req.corrupted = True
-                if getattr(req, "corrupted", False):
-                    self.stats.corrupted_completed += 1
                 if self.retain_kv is not None:
                     self.retain_kv(seq.seq_id, req)
                 alloc.free(seq.seq_id)
                 self._committed_blocks -= seq.reserved_blocks
-                self._running.remove(seq)
+                del self._running[seq.seq_id]
                 req.finish_s = now
-                self.stats.completed.append(req)
-                self.trace.record(
-                    now, EventKind.FINISH, seq.seq_id, self.pool.name,
+                self.stats.terminate(
+                    now, EventKind.FINISH, req, self.pool.name,
                     latency_s=now - req.arrival_s,
                 )
                 self._resolve(req)
@@ -739,44 +782,38 @@ class ContinuousBatchingScheduler:
     # armed none of this runs, and the event schedule is bit-identical
     # to the pre-fault runtime.
 
-    def evict(self, req, kind: str, bucket: List, reason: str) -> bool:
-        """Terminally remove a live request (running or waiting) with a
-        trace record; returns False when the request is not here (e.g.
-        it sits in a router's backoff window)."""
+    def evict(self, req, kind: str, reason: str) -> bool:
+        """Terminally remove a live request (running or waiting) with
+        verdict ``kind``; returns False when the request is not here
+        (e.g. it sits in a router's backoff window)."""
         now = self._loop.now
-        seq = next((s for s in self._running if s.req is req), None)
+        seq = self._running.pop(req.request_id, None)
         if seq is not None:
             # Tokens materialised in KV are discarded — wasted work.
             tokens = self.pool.allocator.sequence(seq.seq_id).tokens
             self.pool.allocator.free(seq.seq_id)
             self._committed_blocks -= seq.reserved_blocks
-            self._running.remove(seq)
             self.stats.wasted_recompute_tokens += tokens
         elif self._policy.remove(req.request_id) is None:
             return False
-        self.trace.record(
-            now, kind, req.request_id, self.pool.name, reason=reason
-        )
-        bucket.append(req)
+        self.stats.terminate(now, kind, req, self.pool.name, reason=reason)
         self._resolve(req)
         return True
 
     def cancel_request(self, request_id: int) -> bool:
         """Client abort / injected cancellation of a live request."""
-        for seq in self._running:
-            if seq.req.request_id == request_id:
-                return self.evict(
-                    seq.req, EventKind.CANCEL, self.stats.cancelled,
-                    reason="client cancelled",
-                )
+        seq = self._running.get(request_id)
+        if seq is not None:
+            return self.evict(
+                seq.req, EventKind.CANCEL, reason="client cancelled"
+            )
         removed = self._policy.remove(request_id)
         if removed is None:
             return False
-        self.trace.record(
-            self._loop.now, EventKind.CANCEL, request_id, self.pool.name,
+        self.stats.terminate(
+            self._loop.now, EventKind.CANCEL, removed, self.pool.name,
             reason="client cancelled",
         )
-        self.stats.cancelled.append(removed)
         self._resolve(removed)
         return True
 
@@ -836,12 +873,11 @@ class ContinuousBatchingScheduler:
         quarantined out from under us)."""
         loop = self._loop
         now = loop.now
-        live = [s for s in decoders if s in self._running]
+        live = [s for s in decoders if s.seq_id in self._running]
         pol = self.integrity
         if iter_corrupt:
             # One injected corruption event per corrupted iteration;
             # weight flips were counted once at flip time.
-            self.stats.sdc_injected += 1
             self.trace.record(
                 now, EventKind.CORRUPT, None, self.pool.name,
                 source="sdc_iteration", batch=len(live),
@@ -864,7 +900,6 @@ class ContinuousBatchingScheduler:
         if weights_corrupt:
             self._weights_corrupted = False
             reload_s = pol.weight_reload_s
-        self.stats.sdc_detected += 1
         self.stats.wasted_recompute_tokens += len(live)
         self.stats.verification_s += reload_s
         self.trace.record(
@@ -891,11 +926,10 @@ class ContinuousBatchingScheduler:
         alloc = self.pool.allocator
         now = self._loop.now
         for seq in decoders:
-            if seq not in self._running:
+            if seq.seq_id not in self._running:
                 continue
             if alloc.sequence(seq.seq_id).payload_version == 0:
                 continue
-            self.stats.sdc_detected += 1
             self.trace.record(
                 now, EventKind.CORRUPT_DETECTED, seq.seq_id,
                 self.pool.name, source="kv_tag",
@@ -916,7 +950,6 @@ class ContinuousBatchingScheduler:
         if not self.pool.alive:
             return
         self.stats.faults += 1
-        self.stats.sdc_injected += 1
         self._weights_corrupted = True
         self.trace.record(
             self._loop.now, EventKind.CORRUPT, None, self.pool.name,
@@ -928,10 +961,9 @@ class ContinuousBatchingScheduler:
         tag no longer matches); a no-op when nothing is resident."""
         if not self.pool.alive or not self._running:
             return
-        victim = min(self._running, key=lambda s: s.seq_id)
+        victim = self._running[min(self._running)]
         self.pool.allocator.corrupt_sequence(victim.seq_id)
         self.stats.faults += 1
-        self.stats.sdc_injected += 1
         self.trace.record(
             self._loop.now, EventKind.CORRUPT, victim.seq_id,
             self.pool.name, source="kv_corruption",
@@ -981,8 +1013,8 @@ class ContinuousBatchingScheduler:
         self._iter_corrupt = False
         self._weights_corrupted = False
         self._sdc_frac = 0.0
-        victims = [s.req for s in self._running]
-        for seq in self._running:
+        victims = [s.req for s in self._running.values()]
+        for seq in self._running.values():
             self.stats.wasted_recompute_tokens += (
                 self.pool.allocator.sequence(seq.seq_id).tokens
             )
@@ -1165,15 +1197,13 @@ class DisaggregatedRuntime:
             stats.wasted_recompute_tokens += tokens
             for req in batch:
                 self.prefill_pool.allocator.free(req.request_id)
-                self.trace.record(
-                    now, EventKind.FAIL, req.request_id,
-                    self.decode_pool.name, reason="kv migration lost",
+                stats.terminate(
+                    now, EventKind.FAIL, req, self.decode_pool.name,
+                    reason="kv migration lost",
                 )
-                stats.failed.append(req)
             return
         if self._kv_corruptions > 0:
             self._kv_corruptions -= 1
-            stats.sdc_injected += 1
             self.trace.record(
                 now, EventKind.CORRUPT, None, self.decode_pool.name,
                 source="kv_migration", batch=len(batch), attempt=attempt,
@@ -1185,7 +1215,6 @@ class DisaggregatedRuntime:
                 # prefill blocks — recompute-from-source, NOT a retry-
                 # budget question (the data is known bad), so this path
                 # never fails the batch terminally.
-                stats.sdc_detected += 1
                 tokens = sum(r.prompt_len for r in batch)
                 resend = self.migration_seconds(tokens)
                 check_s = resend * pol.kv_check_cost_frac
@@ -1234,5 +1263,4 @@ class DisaggregatedRuntime:
         self.loop.run()
         stats = self.decode_sched.finalize()
         stats.prefill_s = self.prefill_breakdown.total_s
-        stats.trace = self.trace
         return stats

@@ -15,7 +15,6 @@ end of a run.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -83,22 +82,12 @@ class KVSnapshot:
     def used_blocks(self) -> int:
         return self.total_blocks - len(self.free)
 
-    def to_dict(self) -> Dict:
-        return {
-            "t": self.t,
-            "pool": self.pool,
-            "total_blocks": self.total_blocks,
-            "block_size": self.block_size,
-            "block_tables": {str(k): v for k, v in self.tables.items()},
-            "refcounts": {str(k): v for k, v in self.refs.items()},
-            "free": list(self.free),
-            "tokens": {str(k): v for k, v in self.tokens.items()},
-        }
-
 
 @dataclass
 class RuntimeTrace:
-    """Append-only record of one runtime execution."""
+    """Append-only record of one runtime execution, in time order:
+    :meth:`record` refuses an event earlier than the last one (or
+    before t=0), so a trace can never run backwards."""
 
     events: List[TraceEvent] = field(default_factory=list)
     snapshots: List[KVSnapshot] = field(default_factory=list)
@@ -111,6 +100,12 @@ class RuntimeTrace:
         pool: str = "gpu0",
         **info,
     ) -> None:
+        last = self.events[-1].t if self.events else 0.0
+        if t < last:
+            raise ValueError(
+                f"{kind} event at t={t} precedes the trace's last event "
+                f"at t={last}"
+            )
         self.events.append(
             TraceEvent(t=t, kind=kind, seq_id=seq_id, pool=pool, info=info)
         )
@@ -119,8 +114,8 @@ class RuntimeTrace:
         self, alloc: KVBlockAllocator, t: float, pool: str = "gpu0"
     ) -> KVSnapshot:
         snap = KVSnapshot.capture(alloc, t, pool)
+        self.record(t, "snapshot", pool=pool, index=len(self.snapshots))
         self.snapshots.append(snap)
-        self.record(t, "snapshot", pool=pool, index=len(self.snapshots) - 1)
         return snap
 
     # ---- views -----------------------------------------------------------------------
@@ -139,21 +134,3 @@ class RuntimeTrace:
 
     def of_kind(self, kind: str) -> List[TraceEvent]:
         return [e for e in self.events if e.kind == kind]
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(
-            {
-                "events": [
-                    {
-                        "t": e.t,
-                        "kind": e.kind,
-                        "seq_id": e.seq_id,
-                        "pool": e.pool,
-                        **e.info,
-                    }
-                    for e in self.events
-                ],
-                "snapshots": [s.to_dict() for s in self.snapshots],
-            },
-            indent=indent,
-        )

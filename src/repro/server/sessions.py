@@ -323,7 +323,6 @@ class SessionManager:
         version = src_alloc.sequence(entry.seq_id).payload_version
         pol = self.runtime.integrity
         if version != 0 and pol is not None and pol.verify_kv:
-            target_sched.stats.sdc_detected += 1
             target_sched.trace.record(
                 target_sched.loop.now,
                 EventKind.CORRUPT_DETECTED,

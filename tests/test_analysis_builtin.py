@@ -27,7 +27,7 @@ class TestFindings:
             "K001", "K002", "K003", "K004", "K005",
             "O001", "O002", "O003", "O004",
             "D001", "D002", "D003", "D004",
-            "R001", "R005",
+            "R001",
             "C002", "C003", "C005",
             "Q001", "Q002", "Q003", "Q004",
             "A001", "A002", "A003", "A005",

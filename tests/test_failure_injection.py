@@ -145,8 +145,10 @@ class TestBaselineFormatCorruption:
 
 
 class TestCorruptedRuntimeTrace:
-    """Tampered runtime traces must be rejected by the trace auditor,
-    the same way tampered format containers fail the format linter."""
+    """Tampered runtime traces must be rejected, the same way tampered
+    format containers fail the format linter: a record out of time
+    order by ``RuntimeTrace.record`` as it is written, a corrupted
+    snapshot by the trace auditor's K rules."""
 
     @staticmethod
     def _traced_run():
@@ -176,34 +178,31 @@ class TestCorruptedRuntimeTrace:
         assert self._errors(self._traced_run()) == []
 
     def test_negative_snapshot_time_rejected(self):
-        import dataclasses
+        from repro.llm.kv_cache import KVBlockAllocator
+        from repro.runtime.trace import RuntimeTrace
 
-        trace = self._traced_run()
-        trace.snapshots[0] = dataclasses.replace(trace.snapshots[0], t=-1.0)
-        errors = self._errors(trace)
-        assert any(
-            f.rule_id == "R005" and "negative time" in f.message
-            for f in errors
-        )
+        trace = RuntimeTrace()
+        with pytest.raises(ValueError, match="precedes"):
+            trace.snapshot(KVBlockAllocator(8), t=-1.0)
+        assert trace.snapshots == [] and trace.events == []
 
     def test_out_of_order_snapshots_rejected(self):
+        from repro.llm.kv_cache import KVBlockAllocator
+
         trace = self._traced_run()
         assert len(trace.snapshots) >= 2
-        trace.snapshots.reverse()
-        errors = self._errors(trace)
-        assert any(
-            f.rule_id == "R005" and "non-decreasing" in f.message
-            for f in errors
-        )
+        before = len(trace.events)
+        with pytest.raises(ValueError, match="precedes"):
+            trace.snapshot(KVBlockAllocator(8), t=trace.snapshots[0].t)
+        assert len(trace.events) == before
 
     def test_out_of_order_events_rejected(self):
         trace = self._traced_run()
-        trace.events.append(trace.events[0])  # replay t=0 after the end
-        errors = self._errors(trace)
-        assert any(
-            f.rule_id == "R005" and f.subject == "trace:events"
-            for f in errors
-        )
+        first = trace.events[0]
+        with pytest.raises(ValueError, match="precedes"):
+            # replay t=0 after the end
+            trace.record(first.t, first.kind, first.seq_id, first.pool)
+        assert trace.events[-1] is not first
 
     def test_negative_block_id_in_snapshot_rejected(self):
         trace = self._traced_run()

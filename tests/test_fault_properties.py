@@ -3,16 +3,15 @@
 Whatever faults a plan throws at the fleet, every submitted request
 must land in exactly one terminal bucket, no completed request may be
 short of its decode tokens, and the run must replay bit-identically
-from the same seeds.  These are the invariants the R005 auditor
-enforces on real chaos runs; here hypothesis searches for a fault
-schedule that breaks them.
+from the same seeds.  ``RuntimeStats.terminate`` refuses a second
+verdict or a short FINISH as it is written; here hypothesis searches
+for a fault schedule that breaks the rest.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.fault_lint import lint_fault_outcome
 from repro.llm.serving import ServingConfig, ServingSimulator, poisson_workload
 from repro.runtime.faults import (
     ALL_FAULT_KINDS,
@@ -89,8 +88,6 @@ def test_no_lost_or_duplicated_decode_tokens(seed, mix, policy):
         assert req.generated == req.output_len
         assert req.finish_s is not None
     assert stats.wasted_recompute_tokens >= 0
-    # the R005 auditor agrees the outcome conserves requests and tokens
-    assert lint_fault_outcome(stats) == []
 
 
 @settings(max_examples=10, deadline=None,

@@ -4,7 +4,12 @@ import copy
 
 import pytest
 
-from repro.llm.chaos import ChaosConfig, build_chaos_runtime, run_chaos
+from repro.llm.chaos import (
+    DISAGG_PLANS,
+    ChaosConfig,
+    build_chaos_runtime,
+    run_chaos,
+)
 from repro.llm.disaggregation import (
     DisaggregatedConfig,
     build_disaggregated_runtime,
@@ -24,6 +29,7 @@ from repro.runtime.faults import (
     get_recovery_policy,
 )
 from repro.runtime.request import SessionRequest
+from repro.runtime.scheduler import RuntimeStats
 
 
 def fleet(recovery, plan=None, replicas=2, **cfg_kw):
@@ -377,3 +383,20 @@ class TestChaosHarness:
     def test_disagg_plan_refused_by_router_builder(self):
         with pytest.raises(ValueError, match="disaggregated"):
             build_chaos_runtime(ChaosConfig(plan="flaky-link"), "retry")
+
+    @pytest.mark.parametrize("plan", sorted(builtin_fault_plans()))
+    @pytest.mark.parametrize("policy", sorted(RECOVERY_POLICIES))
+    def test_every_request_gets_one_verdict(self, plan, policy):
+        """Whatever the plan does, the terminal buckets hold each
+        submitted request once (``terminate`` refuses a second verdict,
+        so this checks that none is lost)."""
+        cfg = ChaosConfig(plan=plan).quick()
+        stats = run_chaos(cfg, policy)
+        # The disaggregated runtime serves one batch of 8 requests.
+        submitted = 8 if plan in DISAGG_PLANS else cfg.num_requests
+        ids = sorted(
+            r.request_id
+            for bucket in RuntimeStats.BUCKETS.values()
+            for r in getattr(stats, bucket)
+        )
+        assert ids == list(range(submitted))

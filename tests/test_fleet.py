@@ -277,6 +277,44 @@ class TestFleetSimulator:
         assert out.kv_migrations > 0
         assert out.kv_migrated_tokens > 0
 
+    def test_drain_without_survivor_drops_prefixes(self, monkeypatch):
+        """A drain that finishes with no routable replica left (the only
+        other one crashed) drops its session prefixes instead of
+        migrating them, leaks no block and still retires."""
+        profile = QUICK.traffic()
+        sim = FleetSimulator(
+            QUICK.fleet_spec(),
+            AUTOSCALER_POLICIES["static-2"],
+            get_recovery_policy(QUICK.recovery),
+            horizon_s=profile.horizon_s,
+        )
+        dropped = []
+        drop = sim.sessions.drop_prefixes_on
+        monkeypatch.setattr(
+            sim.sessions, "drop_prefixes_on",
+            lambda name: dropped.append(name) or drop(name),
+        )
+        gpu0 = sim.runtime._by_pool["gpu0"]
+
+        def strike():
+            # Once gpu0 is idle but caches a session prefix: drain it,
+            # then crash gpu1, so the drain finishes this instant with
+            # nowhere to migrate to.
+            idle = not (gpu0._running or gpu0._policy)
+            if not (idle and sim.sessions.sessions_on("gpu0")):
+                sim.loop.schedule_after(0.01, strike)
+                return
+            sim._begin_drain(sim.replicas["gpu0"])
+            sim.runtime._by_pool["gpu1"].fail_pool("test crash")
+
+        sim.loop.schedule_at(0.2, strike)
+        out = sim.run(generate_sessions(profile))
+        assert dropped == ["gpu0"]
+        assert out.kv_migration_drops > 0 and out.kv_migrations == 0
+        assert out.prefix_leaked_blocks == 0
+        assert gpu0.pool.allocator.used_blocks == 0
+        assert sim.replicas["gpu0"].state == "retired"
+
     def test_kill_in_flight_sheds_resident_work(self, monkeypatch):
         # A hair-trigger hysteresis floor forces a scale-down while the
         # victim still holds work, so the A002 kill path actually fires

@@ -12,7 +12,8 @@ from repro.runtime.core import EventLoop, GPUPool
 from repro.runtime.events import EventKind
 from repro.runtime.policies import FCFSPolicy, SJFPolicy, get_policy
 from repro.runtime.request import SessionRequest
-from repro.runtime.scheduler import ContinuousBatchingScheduler
+from repro.runtime.scheduler import ContinuousBatchingScheduler, RuntimeStats
+from repro.runtime.trace import RuntimeTrace
 
 
 def make_sim(**kw):
@@ -370,11 +371,62 @@ class TestSnapshots:
         alloc.free(0)
         alloc.free(1)
         assert 0 in snap.block_tables()  # unaffected by later traffic
-        d = snap.to_dict()
-        assert d["total_blocks"] == 32
-        assert set(d) >= {
-            "t", "pool", "block_tables", "refcounts", "free", "tokens",
-        }
+        assert snap.total_blocks == 32
+
+
+class TestVerdictLedger:
+    """``RuntimeStats.terminate`` is the only way into a terminal bucket
+    and refuses a verdict that breaks conservation as it is written."""
+
+    @staticmethod
+    def stats():
+        return RuntimeStats(trace=RuntimeTrace())
+
+    @staticmethod
+    def done(rid, out=4):
+        r = SessionRequest(rid, 0.0, prompt_len=8, output_len=out)
+        r.generated = out
+        r.finish_s = 1.0
+        return r
+
+    def test_clean_verdicts_pass(self):
+        s = self.stats()
+        a, b = self.done(0), self.done(1)
+        s.terminate(1.0, EventKind.FINISH, a, "gpu0")
+        s.terminate(1.0, EventKind.SHED, b, "router", reason="full")
+        assert s.completed == [a] and s.shed == [b]
+        assert [e.key()[:3] for e in s.trace.events] == [
+            (1.0, EventKind.FINISH, 0), (1.0, EventKind.SHED, 1),
+        ]
+
+    def test_second_verdict_refused(self):
+        s = self.stats()
+        r = self.done(0)
+        s.terminate(1.0, EventKind.FINISH, r, "gpu0")
+        with pytest.raises(RuntimeError, match="already has verdict"):
+            s.terminate(2.0, EventKind.FAIL, r, "gpu0")
+        assert s.failed == [] and len(s.trace.events) == 1
+
+    def test_short_finish_refused(self):
+        r = self.done(0)
+        r.generated = 2
+        s = self.stats()
+        with pytest.raises(RuntimeError, match="2/4 decode tokens"):
+            s.terminate(1.0, EventKind.FINISH, r, "gpu0")
+        assert s.completed == [] and s.trace.events == []
+
+    def test_finish_without_timestamp_refused(self):
+        r = self.done(0)
+        r.finish_s = None
+        with pytest.raises(RuntimeError, match="finish_s=None"):
+            self.stats().terminate(1.0, EventKind.FINISH, r, "gpu0")
+
+    def test_traced_counts_are_read_only(self):
+        s = self.stats()
+        s.trace.record(0.5, EventKind.PREEMPT, 3)
+        assert s.preemptions == 1
+        with pytest.raises(AttributeError):
+            s.preemptions = 0
 
 
 class TestDisaggregatedRuntime:

@@ -10,6 +10,7 @@ from repro.llm.serving import (
     compare_frameworks,
     poisson_workload,
 )
+from repro.runtime.events import EventKind
 from repro.runtime.request import SessionRequest
 from repro.runtime.scheduler import RuntimeStats
 
@@ -92,13 +93,14 @@ class TestSimulator:
             assert r.latency_s >= r.queue_s
 
     def test_run_returns_auditable_runtime_stats(self):
-        """The simulator hands back the scheduler's own stats, so the
-        R005 conservation audit reads a serving run like a chaos run."""
-        from repro.analysis.fault_lint import lint_fault_outcome
-
+        """The simulator hands back the scheduler's own stats, whose
+        completed bucket is exactly the trace's FINISH records."""
         stats = make_sim().run(small_workload())
         assert isinstance(stats, RuntimeStats)
-        assert lint_fault_outcome(stats) == []
+        finished = stats.trace.of_kind(EventKind.FINISH)
+        assert [e.seq_id for e in finished] == [
+            r.request_id for r in stats.completed
+        ]
 
 
 class TestFrameworkComparison:
