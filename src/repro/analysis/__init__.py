@@ -22,10 +22,10 @@ machine-checked properties that run without executing anything:
   SDC-run ledger audits (``C005``);
 * :mod:`~repro.analysis.fleet_lint` — autoscaling-policy sanity
   (flapping, kill-on-scale-down, unbounded ceilings: ``A001``–``A003``)
-  and fleet-run conservation audits (``A005``);
+  and fleet-run lifecycle audits (``A005``);
 * :mod:`~repro.analysis.server_lint` — streaming-server admission
-  policies, session-prefix ownership and token-stream ordering
-  (``Q001``–``Q004``);
+  policies and session-prefix ownership (``Q001``, ``Q002``,
+  ``Q004``);
 * :mod:`~repro.analysis.source_lint` — determinism hazards in this
   repo's own Python source: ambient RNG, wall-clock reads, iteration
   order over unordered collections (``S001``–``S006``);

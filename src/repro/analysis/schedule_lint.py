@@ -216,7 +216,7 @@ def _server_scenario(plan: Optional[str]) -> Scenario:
         stats = server.run(cfg.workload())
         # The token stream is the server's observable output: H002
         # compares it along with the trace and the terminal stats.
-        return stats, server.stream.keys()
+        return stats, [e.key() for e in server.stream.events]
 
     return scenario
 

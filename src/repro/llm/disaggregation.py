@@ -154,7 +154,6 @@ def _demand_pool(
 
 def build_disaggregated_runtime(
     cfg: DisaggregatedConfig,
-    snapshot_every: int = 0,
     recovery=None,
     fault_plan=None,
     loop=None,
@@ -185,7 +184,6 @@ def build_disaggregated_runtime(
             cfg.batch_size,
         ),
         migration_seconds=lambda tokens: rate * tokens,
-        snapshot_every=snapshot_every,
         recovery=recovery,
         loop=loop,
         integrity=integrity,
@@ -197,11 +195,9 @@ def build_disaggregated_runtime(
     return runtime
 
 
-def simulate_disaggregated(
-    cfg: DisaggregatedConfig, snapshot_every: int = 0
-) -> DisaggregatedResult:
+def simulate_disaggregated(cfg: DisaggregatedConfig) -> DisaggregatedResult:
     """Prefill on pool A, migrate KV, decode on pool B."""
-    runtime = build_disaggregated_runtime(cfg, snapshot_every=snapshot_every)
+    runtime = build_disaggregated_runtime(cfg)
     requests: List[SessionRequest] = [
         SessionRequest(
             request_id=i,

@@ -118,8 +118,6 @@ class ServingConfig:
     #: Admit on demand and preempt-by-recompute when the pool runs dry
     #: (off = worst-case block reservation at admission).
     preemption: bool = False
-    #: Capture a lintable KV snapshot every N iterations (0 = never).
-    snapshot_every: int = 0
     #: Optional cap on the KV pool, in tokens — lets experiments pit
     #: schedulers against each other at an equal, artificially tight
     #: memory budget.  None = everything the DRAM budget allows.
@@ -132,8 +130,6 @@ class ServingConfig:
             raise ValueError(f"unknown policy {self.policy!r}; use fcfs or sjf")
         if self.chunk_tokens <= 0:
             raise ValueError("chunk_tokens must be positive")
-        if self.snapshot_every < 0:
-            raise ValueError("snapshot_every cannot be negative")
         if self.kv_cap_tokens is not None and self.kv_cap_tokens <= 0:
             raise ValueError("kv_cap_tokens must be positive when set")
 
@@ -217,7 +213,6 @@ class ServingSimulator:
             prefill_mode="chunked" if cfg.chunked_prefill else "blocking",
             chunk_tokens=cfg.chunk_tokens,
             preemption=cfg.preemption,
-            snapshot_every=cfg.snapshot_every,
         )
 
     def run(self, requests: List[SessionRequest], loop=None) -> RuntimeStats:

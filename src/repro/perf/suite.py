@@ -275,12 +275,10 @@ def _case_scheduler_sjf(shape, _sparsity, seed):
 
 
 def _trace_checksum(trace) -> str:
-    """Digest of every trace event's canonical key plus the snapshot
-    count (16 hex)."""
+    """Digest of every trace event's canonical key (16 hex)."""
     h = hashlib.sha256()
     for e in trace.events:
         h.update(repr(e.key()).encode())
-    h.update(f"snapshots:{len(trace.snapshots)}".encode())
     return h.hexdigest()[:16]
 
 
@@ -420,12 +418,14 @@ def write_results(
 
 
 def load_results(path: str) -> dict:
-    """Load a results document, validating the schema tag."""
+    """Load a results document, validating the schema tag and suite."""
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("schema") != BENCH_SCHEMA:
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != BENCH_SCHEMA:
         raise ValueError(
-            f"{path}: expected schema {BENCH_SCHEMA!r}, "
-            f"got {doc.get('schema')!r}"
+            f"expected schema {BENCH_SCHEMA!r}, got {schema!r}"
         )
+    if "suite" not in doc:
+        raise ValueError("missing key 'suite'")
     return doc

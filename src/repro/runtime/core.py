@@ -207,10 +207,6 @@ class GPUPool:
         self.allocator = KVBlockAllocator(
             total_blocks=total_blocks, block_size=block_size
         )
-        #: True when the pool was sized past its DRAM budget (override).
-        self.oversubscribed = (
-            total_blocks * block_size * self.kv_per_token > kv_budget_bytes
-        )
         #: Fault state: a crashed pool stops serving; a straggling pool
         #: multiplies every iteration cost until it recovers.
         self.alive = True

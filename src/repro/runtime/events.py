@@ -10,9 +10,7 @@ Two kinds of record live here:
 * **Trace events** — the append-only log the scheduler emits as it
   makes decisions.  The log is the runtime's observable behaviour: two
   runs of the same trace and configuration must produce *identical*
-  logs (the determinism contract tests/test_runtime.py pins down), and
-  the KV snapshots referenced from it are what ``repro lint`` audits
-  with the K-rules.
+  logs (the determinism contract tests/test_runtime.py pins down).
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ class EventKind:
     FINISH = "finish"
     MIGRATE_START = "migrate_start"
     MIGRATE_END = "migrate_end"
-    SNAPSHOT = "snapshot"
     # ---- faults and recovery (repro.runtime.faults) -------------------
     #: An injected fault landed (``info["fault"]`` names the kind).
     FAULT = "fault"
@@ -78,10 +75,7 @@ class EventKind:
 class TraceEvent:
     """One logged scheduler decision.
 
-    ``info`` holds small scalars only (counts, token numbers, reasons);
-    anything bulky — block tables, refcounts — goes into a
-    :class:`~repro.runtime.trace.KVSnapshot` instead, referenced by
-    index from a ``snapshot`` event.
+    ``info`` holds small scalars only (counts, token numbers, reasons).
     """
 
     t: float

@@ -30,6 +30,7 @@ depend on the order other requests failed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
 from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -123,7 +124,24 @@ class FaultEvent:
     factor: float = 1.0
     request_id: Optional[int] = None
 
+    #: (field, accepted types, their name in the error); a bool is
+    #: refused everywhere, although Python counts it as an int.
+    _TYPES = (
+        ("t", Real, "a number"),
+        ("kind", str, "a string"),
+        ("target", str, "a string"),
+        ("duration_s", Real, "a number"),
+        ("factor", Real, "a number"),
+        ("request_id", (Integral, type(None)), "an integer or null"),
+    )
+
     def __post_init__(self) -> None:
+        for name, types, what in self._TYPES:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ValueError(
+                    f"fault field {name!r} must be {what}, got {value!r}"
+                )
         if self.kind not in ALL_FAULT_KINDS:
             raise ValueError(
                 f"unknown fault kind {self.kind!r}; "
@@ -158,6 +176,10 @@ class FaultEvent:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "FaultEvent":
+        if not isinstance(data, dict):
+            raise ValueError(
+                f"FaultEvent.from_dict: expected an object, got {data!r}"
+            )
         for key in data:
             if key not in cls._FIELDS:
                 raise ValueError(
@@ -280,6 +302,10 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "FaultPlan":
+        if not isinstance(data, dict):
+            raise ValueError(
+                f"FaultPlan.from_dict: expected an object, got {data!r}"
+            )
         for key in data:
             if key not in ("name", "seed", "events"):
                 raise ValueError(
@@ -290,6 +316,17 @@ class FaultPlan:
             if key not in data:
                 raise ValueError(
                     f"FaultPlan.from_dict: missing required key {key!r}"
+                )
+        for key, types, what in (
+            ("name", str, "a string"),
+            ("seed", Integral, "an integer"),
+            ("events", list, "a list"),
+        ):
+            value = data.get(key, [])
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ValueError(
+                    f"FaultPlan.from_dict: {key!r} must be {what}, "
+                    f"got {value!r}"
                 )
         return cls(
             name=data["name"],
@@ -807,7 +844,12 @@ class FaultTolerantRuntime:
 
         def fire() -> None:
             self._resubmits.pop(rid, None)
-            target.submit(req)
+            if target.pool.alive and not self.is_routable(target):
+                # The target began draining or retired during the
+                # backoff: route afresh (or shed if nothing is left).
+                self.submit(req)
+            else:
+                target.submit(req)
 
         self._resubmits[rid] = (self.loop.schedule_after(delay, fire), req)
 

@@ -170,10 +170,3 @@ class TokenStream:
         )
         self._buffer.clear()
         self.flushes += 1
-
-    def for_request(self, request_id: int) -> List[TokenEvent]:
-        return [e for e in self.events if e.request_id == request_id]
-
-    def keys(self) -> List[tuple]:
-        """The stream's canonical content (byte-identity comparisons)."""
-        return [e.key() for e in self.events]

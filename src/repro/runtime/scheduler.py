@@ -248,7 +248,6 @@ class ContinuousBatchingScheduler:
         prefill_mode: str = "blocking",
         chunk_tokens: int = 128,
         preemption: bool = False,
-        snapshot_every: int = 0,
     ) -> None:
         if prefill_mode not in PREFILL_MODES:
             raise ValueError(
@@ -257,13 +256,10 @@ class ContinuousBatchingScheduler:
             )
         if chunk_tokens <= 0:
             raise ValueError("chunk_tokens must be positive")
-        if snapshot_every < 0:
-            raise ValueError("snapshot_every cannot be negative")
         self.pool = pool
         self.prefill_mode = prefill_mode
         self.chunk_tokens = chunk_tokens
         self.preemption = preemption
-        self.snapshot_every = snapshot_every
         #: Set by :class:`~repro.runtime.faults.FaultTolerantRuntime`
         #: when this scheduler is one replica behind a router.  The
         #: router owns deadlines and crash rerouting, and its recovery
@@ -363,12 +359,6 @@ class ContinuousBatchingScheduler:
                 "not drain"
             )
         self.stats.makespan_s = self._loop.now if self._loop else 0.0
-        if self.snapshot_every:
-            # Terminal snapshot: proves every block went back to the
-            # free list (refcount conservation after a full trace).
-            self.trace.snapshot(
-                self.pool.allocator, self.stats.makespan_s, self.pool.name
-            )
         return self.stats
 
     # ---- arrivals --------------------------------------------------------------------
@@ -766,11 +756,6 @@ class ContinuousBatchingScheduler:
                     latency_s=now - req.arrival_s,
                 )
                 self._resolve(req)
-        if (
-            self.snapshot_every
-            and self.stats.iterations % self.snapshot_every == 0
-        ):
-            self.trace.snapshot(alloc, now, self.pool.name)
         self._busy = False
         self._kick()
 
@@ -1051,7 +1036,6 @@ class DisaggregatedRuntime:
         prefill_pool: GPUPool,
         decode_pool: GPUPool,
         migration_seconds: Callable[[int], float],
-        snapshot_every: int = 0,
         recovery=None,
         loop: Optional[EventLoop] = None,
         integrity=None,
@@ -1066,14 +1050,11 @@ class DisaggregatedRuntime:
         self.loop = loop if loop is not None else EventLoop()
         self.trace = RuntimeTrace()
         self.decode_sched = ContinuousBatchingScheduler(
-            decode_pool,
-            prefill_mode="preloaded",
-            snapshot_every=snapshot_every,
+            decode_pool, prefill_mode="preloaded"
         ).attach(self.loop, self.trace)
         self.decode_sched.integrity = integrity
         self.prefill_breakdown = PhaseBreakdown()
         self.kv_migration_s = 0.0
-        self.snapshot_every = snapshot_every
         self._arrived: List[Tuple[float, int, object]] = []
         self._prefill_busy = False
         self._migrations = 0
@@ -1237,10 +1218,6 @@ class DisaggregatedRuntime:
         self._migrations += 1
         for req in batch:
             self.prefill_pool.allocator.free(req.request_id)
-        if self.snapshot_every:
-            self.trace.snapshot(
-                self.prefill_pool.allocator, now, self.prefill_pool.name
-            )
         self.trace.record(
             now, EventKind.MIGRATE_END, None, self.decode_pool.name,
             batch=len(batch),

@@ -1,86 +1,22 @@
-"""Runtime traces: the event log and auditable KV snapshots.
+"""Runtime traces: the event log.
 
 A :class:`RuntimeTrace` is the runtime's complete observable record:
 an ordered list of :class:`~repro.runtime.events.TraceEvent` scheduler
-decisions plus periodic :class:`KVSnapshot` captures of the paged
-allocator.  Snapshots expose the same introspection surface as a live
-:class:`~repro.llm.kv_cache.KVBlockAllocator` (``block_tables()``,
-``refcounts()``, ``free_block_ids()``, ``sequence()``), so
-``repro.analysis.plan_lint.lint_kv_allocator`` audits them unchanged —
-the event simulation is translation-validated against the static
-checker's K001–K005 rules at every captured instant, not just at the
-end of a run.
+decisions.  KV bookkeeping is not copied into it: the allocator's own
+methods keep refcounts and block tables consistent at every write
+(``tests/test_kv_cache.py`` proves K004/K005 after every operation of
+random programs).
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from ..llm.kv_cache import KVBlockAllocator, SequenceAllocation
 from .events import TraceEvent
 
-__all__ = ["KVSnapshot", "RuntimeTrace"]
-
-
-@dataclass(frozen=True)
-class KVSnapshot:
-    """Immutable copy of an allocator's bookkeeping at one instant.
-
-    Duck-compatible with :class:`KVBlockAllocator` for everything the
-    K-rule checker reads.
-    """
-
-    t: float
-    pool: str
-    total_blocks: int
-    block_size: int
-    tables: Dict[int, List[int]]
-    refs: Dict[int, int]
-    free: List[int]
-    tokens: Dict[int, int]
-
-    @classmethod
-    def capture(
-        cls, alloc: KVBlockAllocator, t: float, pool: str = "gpu0"
-    ) -> "KVSnapshot":
-        tables = alloc.block_tables()
-        return cls(
-            t=t,
-            pool=pool,
-            total_blocks=alloc.total_blocks,
-            block_size=alloc.block_size,
-            tables=tables,
-            refs=alloc.refcounts(),
-            free=alloc.free_block_ids(),
-            tokens={sid: alloc.sequence(sid).tokens for sid in tables},
-        )
-
-    # ---- KVBlockAllocator introspection surface --------------------------------------
-
-    def block_tables(self) -> Dict[int, List[int]]:
-        return {sid: list(t) for sid, t in self.tables.items()}
-
-    def refcounts(self) -> Dict[int, int]:
-        return dict(self.refs)
-
-    def free_block_ids(self) -> List[int]:
-        return list(self.free)
-
-    def sequence(self, seq_id: int) -> SequenceAllocation:
-        try:
-            return SequenceAllocation(
-                seq_id=seq_id,
-                block_ids=list(self.tables[seq_id]),
-                tokens=self.tokens[seq_id],
-            )
-        except KeyError:
-            raise KeyError(f"unknown sequence {seq_id}") from None
-
-    @property
-    def used_blocks(self) -> int:
-        return self.total_blocks - len(self.free)
+__all__ = ["RuntimeTrace"]
 
 
 @dataclass
@@ -90,7 +26,6 @@ class RuntimeTrace:
     before t=0), so a trace can never run backwards."""
 
     events: List[TraceEvent] = field(default_factory=list)
-    snapshots: List[KVSnapshot] = field(default_factory=list)
 
     def record(
         self,
@@ -109,14 +44,6 @@ class RuntimeTrace:
         self.events.append(
             TraceEvent(t=t, kind=kind, seq_id=seq_id, pool=pool, info=info)
         )
-
-    def snapshot(
-        self, alloc: KVBlockAllocator, t: float, pool: str = "gpu0"
-    ) -> KVSnapshot:
-        snap = KVSnapshot.capture(alloc, t, pool)
-        self.record(t, "snapshot", pool=pool, index=len(self.snapshots))
-        self.snapshots.append(snap)
-        return snap
 
     # ---- views -----------------------------------------------------------------------
 

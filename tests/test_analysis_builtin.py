@@ -29,7 +29,7 @@ class TestFindings:
             "D001", "D002", "D003", "D004",
             "R001",
             "C002", "C003", "C005",
-            "Q001", "Q002", "Q003", "Q004",
+            "Q001", "Q002", "Q004",
             "A001", "A002", "A003", "A005",
             "S001", "S002", "S003", "S004", "S005", "S006",
             "H002",

@@ -366,7 +366,7 @@ class TestBuiltinSweep:
                     assert gpus <= dense
 
     def test_json_report_round_trips(self):
-        report = check_all_builtin_deployments(cross_check_planner=False)
+        report = check_all_builtin_deployments()
         payload = json.loads(report.to_json())
         assert payload["ok"] is True
         assert payload["errors"] == 0

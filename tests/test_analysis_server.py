@@ -7,10 +7,8 @@ from repro.analysis.server_lint import (
     check_builtin_server_artifacts,
     lint_prefix_ownership,
     lint_server_policy,
-    lint_token_stream,
 )
 from repro.llm.kv_cache import KVBlockAllocator
-from repro.runtime.request import TokenEvent
 from repro.server.admission import BROKEN_SERVER_POLICIES, SERVER_POLICIES, ServerPolicy
 
 
@@ -22,7 +20,7 @@ class TestRegistration:
     def test_q_family_registered_with_server_gate(self):
         fam = FAMILIES["Q"]
         assert fam.gate == "--server"
-        assert fam.rule_ids == ("Q001", "Q002", "Q003", "Q004")
+        assert fam.rule_ids == ("Q001", "Q002", "Q004")
 
 
 class TestServerPolicyLint:
@@ -80,41 +78,6 @@ class TestPrefixOwnershipLint:
         # Freeing the prefix clears the finding.
         alloc.free(-1)
         assert lint_prefix_ownership([("gpu1", alloc)], {}) == []
-
-
-def ev(t, rid, idx, final=False):
-    return TokenEvent(t, rid, idx, "gpu0", final=final)
-
-
-class TestTokenStreamLint:
-    def test_clean_stream(self):
-        events = [ev(0.1, 0, 0), ev(0.2, 0, 1, final=True),
-                  ev(0.2, 1, 0, final=True)]
-        assert lint_token_stream(events) == []
-
-    def test_q003_time_backwards(self):
-        events = [ev(0.5, 0, 0), ev(0.4, 1, 0)]
-        assert rule_ids(lint_token_stream(events)) == ["Q003"]
-
-    def test_q003_reordered_index(self):
-        events = [ev(0.1, 0, 1), ev(0.2, 0, 0)]
-        findings = lint_token_stream(events)
-        assert "Q003" in rule_ids(findings)
-        assert any("reordered or gapped" in f.message for f in findings)
-
-    def test_q003_gap_in_indexes(self):
-        events = [ev(0.1, 0, 0), ev(0.2, 0, 2)]
-        assert "Q003" in rule_ids(lint_token_stream(events))
-
-    def test_q003_tokens_after_final(self):
-        events = [ev(0.1, 0, 0, final=True), ev(0.2, 0, 1)]
-        findings = lint_token_stream(events)
-        assert any("AFTER its final" in f.message for f in findings)
-
-    def test_q003_multiple_finals(self):
-        events = [ev(0.1, 0, 0, final=True), ev(0.2, 0, 1, final=True)]
-        findings = lint_token_stream(events)
-        assert any("2 final events" in f.message for f in findings)
 
 
 class TestBuiltinSweep:

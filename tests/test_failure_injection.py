@@ -145,10 +145,10 @@ class TestBaselineFormatCorruption:
 
 
 class TestCorruptedRuntimeTrace:
-    """Tampered runtime traces must be rejected, the same way tampered
+    """Tampered runtime state must be rejected, the same way tampered
     format containers fail the format linter: a record out of time
     order by ``RuntimeTrace.record`` as it is written, a corrupted
-    snapshot by the trace auditor's K rules."""
+    block table or token count by the allocator's K rules."""
 
     @staticmethod
     def _traced_run():
@@ -156,66 +156,62 @@ class TestCorruptedRuntimeTrace:
 
         sim = ServingSimulator(ServingConfig(
             model="opt-13b", framework="spinfer", max_batch=8,
-            snapshot_every=2,
         ))
         sched = sim.build_scheduler()
         stats = sched.run(poisson_workload(
             6, arrival_rate=4.0, prompt_len=32, output_len=16, seed=0,
         ))
-        return stats.trace
+        return stats.trace, sched.pool.allocator
 
     @staticmethod
-    def _errors(trace):
+    def _errors(alloc):
         from repro.analysis.findings import Severity
-        from repro.analysis.plan_lint import lint_runtime_trace
+        from repro.analysis.plan_lint import lint_kv_allocator
 
         return [
-            f for f in lint_runtime_trace(trace)
+            f for f in lint_kv_allocator(alloc)
             if f.severity == Severity.ERROR
         ]
 
-    def test_clean_trace_passes(self):
-        assert self._errors(self._traced_run()) == []
-
-    def test_negative_snapshot_time_rejected(self):
+    @staticmethod
+    def _live_allocator():
+        """An allocator holding a forked prefix and a private tail, as
+        a run leaves it mid-flight."""
         from repro.llm.kv_cache import KVBlockAllocator
+
+        alloc = KVBlockAllocator(total_blocks=16, block_size=4)
+        alloc.allocate(0, tokens=10)
+        alloc.fork(0, 1)
+        alloc.append_token(1, 3)
+        return alloc
+
+    def test_clean_trace_passes(self):
+        _trace, alloc = self._traced_run()
+        assert self._errors(alloc) == []
+        assert self._errors(self._live_allocator()) == []
+
+    def test_negative_event_time_rejected(self):
         from repro.runtime.trace import RuntimeTrace
 
         trace = RuntimeTrace()
         with pytest.raises(ValueError, match="precedes"):
-            trace.snapshot(KVBlockAllocator(8), t=-1.0)
-        assert trace.snapshots == [] and trace.events == []
-
-    def test_out_of_order_snapshots_rejected(self):
-        from repro.llm.kv_cache import KVBlockAllocator
-
-        trace = self._traced_run()
-        assert len(trace.snapshots) >= 2
-        before = len(trace.events)
-        with pytest.raises(ValueError, match="precedes"):
-            trace.snapshot(KVBlockAllocator(8), t=trace.snapshots[0].t)
-        assert len(trace.events) == before
+            trace.record(-1.0, "arrive")
+        assert trace.events == []
 
     def test_out_of_order_events_rejected(self):
-        trace = self._traced_run()
+        trace, _alloc = self._traced_run()
         first = trace.events[0]
         with pytest.raises(ValueError, match="precedes"):
             # replay t=0 after the end
             trace.record(first.t, first.kind, first.seq_id, first.pool)
         assert trace.events[-1] is not first
 
-    def test_negative_block_id_in_snapshot_rejected(self):
-        trace = self._traced_run()
-        snap = next(s for s in trace.snapshots if s.tables)
-        seq = next(iter(snap.tables))
-        snap.tables[seq][0] = -3
-        errors = self._errors(trace)
-        assert any(f.rule_id == "K005" for f in errors)
+    def test_negative_block_id_in_table_rejected(self):
+        alloc = self._live_allocator()
+        alloc.sequence(1).block_ids[0] = -3
+        assert any(f.rule_id == "K005" for f in self._errors(alloc))
 
-    def test_negative_token_count_in_snapshot_rejected(self):
-        trace = self._traced_run()
-        snap = next(s for s in trace.snapshots if s.tokens)
-        seq = next(iter(snap.tokens))
-        snap.tokens[seq] = -7
-        errors = self._errors(trace)
-        assert any(f.rule_id == "K005" for f in errors)
+    def test_negative_token_count_rejected(self):
+        alloc = self._live_allocator()
+        alloc.sequence(1).tokens = -7
+        assert any(f.rule_id == "K005" for f in self._errors(alloc))

@@ -4,6 +4,8 @@ import copy
 
 import pytest
 
+from repro.fleet.autoscaler import AUTOSCALER_POLICIES, BROKEN_AUTOSCALER_POLICIES
+from repro.fleet.planner import FleetConfig, run_fleet_policy
 from repro.llm.chaos import (
     DISAGG_PLANS,
     ChaosConfig,
@@ -200,6 +202,31 @@ class TestGPUCrash:
         sheds = stats.trace.of_kind(EventKind.SHED)
         assert any(e.info.get("reason") == "no alive pools" for e in sheds)
 
+    def test_backoff_resubmit_skips_a_retired_pool(self):
+        """A reroute's target is fixed at the crash; if that pool is
+        drained and retired during the backoff, the resubmit routes
+        afresh, and with no routable pool left it sheds."""
+        rt = fleet(RECOVERY_POLICIES["reroute"])
+        for i in range(4):
+            req = SessionRequest(i, 0.0, 64, 64)
+            rt.loop.schedule_at(
+                0.0, (lambda r: lambda: rt.submit(r, prefer="gpu1"))(req)
+            )
+
+        def crash_and_retire():
+            rt.schedulers[1].fail_pool()  # reroutes all 4 to gpu0
+            rt.set_draining("gpu0")
+            rt.retire_pool("gpu0")
+
+        rt.loop.schedule_at(1.0, crash_and_retire)
+        rt.loop.run()
+        stats = rt.finalize()
+        assert [e for e in stats.trace.events
+                if e.pool == "gpu0" and e.t > 1.0] == []
+        assert sorted(r.request_id for r in stats.shed) == [0, 1, 2, 3]
+        sheds = stats.trace.of_kind(EventKind.SHED)
+        assert {e.info["reason"] for e in sheds} == {"no alive pools"}
+
 
 class TestReplayDeterminism:
     @pytest.mark.parametrize("plan_name", sorted(builtin_fault_plans()))
@@ -369,6 +396,27 @@ class TestDisaggregatedFaults:
         assert len(flaky.completed) == len(clean.completed)
 
 
+def _chaos_run(plan, policy):
+    def run():
+        cfg = ChaosConfig(plan=plan).quick()
+        # The disaggregated runtime serves one batch of 8 requests.
+        submitted = 8 if plan in DISAGG_PLANS else cfg.num_requests
+        return run_chaos(cfg, policy), submitted
+
+    return pytest.param(run, id=f"{policy}-{plan}")
+
+
+def _fleet_run(policy, plan=None):
+    def run():
+        pol = AUTOSCALER_POLICIES.get(policy)
+        if pol is None:
+            pol = BROKEN_AUTOSCALER_POLICIES[policy][0]
+        out = run_fleet_policy(FleetConfig(quick=True, fault_plan=plan), pol)
+        return out.stats, out.turns_submitted
+
+    return pytest.param(run, id="-".join(filter(None, ("fleet", plan, policy))))
+
+
 class TestChaosHarness:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="unknown fault plan"):
@@ -384,16 +432,23 @@ class TestChaosHarness:
         with pytest.raises(ValueError, match="disaggregated"):
             build_chaos_runtime(ChaosConfig(plan="flaky-link"), "retry")
 
-    @pytest.mark.parametrize("plan", sorted(builtin_fault_plans()))
-    @pytest.mark.parametrize("policy", sorted(RECOVERY_POLICIES))
-    def test_every_request_gets_one_verdict(self, plan, policy):
+    @pytest.mark.parametrize("run", [
+        *(
+            _chaos_run(plan, policy)
+            for plan in sorted(builtin_fault_plans())
+            for policy in sorted(RECOVERY_POLICIES)
+        ),
+        _fleet_run("target-util"),
+        _fleet_run("static-2"),
+        _fleet_run("target-util", "chaos-mix"),
+        _fleet_run("reaper"),
+    ])
+    def test_every_request_gets_one_verdict(self, run):
         """Whatever the plan does, the terminal buckets hold each
         submitted request once (``terminate`` refuses a second verdict,
-        so this checks that none is lost)."""
-        cfg = ChaosConfig(plan=plan).quick()
-        stats = run_chaos(cfg, policy)
-        # The disaggregated runtime serves one batch of 8 requests.
-        submitted = 8 if plan in DISAGG_PLANS else cfg.num_requests
+        so this checks that none is lost): every chaos arm, and quick
+        fleet runs across scale events, faults and the reaper's kills."""
+        stats, submitted = run()
         ids = sorted(
             r.request_id
             for bucket in RuntimeStats.BUCKETS.values()

@@ -321,6 +321,31 @@ class TestBenchCLI:
         assert rc == 2
         assert "refused" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("role", ["baseline", "against"])
+    @pytest.mark.parametrize(
+        "body", [
+            None, "not json", '{"cases": []}', "[]",
+            '{"schema": "%s", "cases": []}' % BENCH_SCHEMA,
+        ],
+        ids=["missing", "not-json", "no-schema", "not-an-object", "no-suite"],
+    )
+    def test_check_refuses_unreadable_document(
+        self, tmp_path, capsys, role, body
+    ):
+        """Exit 1 means "regressions found", so a document that cannot
+        be read is refused with exit 2 and named."""
+        bad = tmp_path / "bad.json"
+        if body is not None:
+            bad.write_text(body)
+        good = str(ROOT / "BENCH_runtime.json")
+        argv = (
+            ["--check", str(bad)] if role == "baseline"
+            else ["--check", good, "--against", str(bad)]
+        )
+        rc = main(["bench", *argv])
+        assert rc == 2
+        assert f"bench check refused: {bad}:" in capsys.readouterr().err
+
     def test_legacy_experiment_path_still_works(self, capsys):
         rc = main(["bench", "fig03"])
         assert rc == 0

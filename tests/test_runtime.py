@@ -4,9 +4,7 @@ import copy
 
 import pytest
 
-from repro.analysis.findings import Severity
-from repro.analysis.plan_lint import lint_kv_allocator, lint_runtime_trace
-from repro.llm.kv_cache import KVBlockAllocator
+from repro.analysis.plan_lint import lint_kv_allocator
 from repro.llm.serving import ServingConfig, ServingSimulator, mixed_workload
 from repro.runtime.core import EventLoop, GPUPool
 from repro.runtime.events import EventKind
@@ -185,7 +183,7 @@ class TestDeterminism:
         for _ in range(2):
             sim = make_sim(
                 max_batch=4, kv_cap_tokens=2048, chunked_prefill=True,
-                preemption=True, snapshot_every=2,
+                preemption=True,
             )
             stats = sim.run(copy.deepcopy(tight_workload()))
             logs.append(stats.trace.event_log())
@@ -224,14 +222,16 @@ class TestRejection:
 
 
 class TestPreemption:
-    def run_tight(self):
+    def tight_scheduler(self):
         # 1024-token pool vs 4 x (96+384)-token worst case: on-demand
         # admission overcommits and must preempt to finish long outputs.
-        sim = make_sim(
+        return make_sim(
             max_batch=4, kv_cap_tokens=1024, chunked_prefill=True,
-            preemption=True, snapshot_every=2,
-        )
-        return sim.run(copy.deepcopy(tight_workload()))
+            preemption=True,
+        ).build_scheduler()
+
+    def run_tight(self):
+        return self.tight_scheduler().run(copy.deepcopy(tight_workload()))
 
     def test_preempts_and_still_completes_everything(self):
         stats = self.run_tight()
@@ -239,19 +239,30 @@ class TestPreemption:
         assert len(stats.completed) == 12
         assert stats.trace.count(EventKind.PREEMPT) == stats.preemptions
 
-    def test_every_snapshot_passes_k_rules(self):
+    def test_k_rules_hold_after_every_iteration(self):
         """Refcount conservation and table validity hold across
         admissions, chunked prefills, preemptions and completions."""
-        stats = self.run_tight()
-        assert len(stats.trace.snapshots) > 1
-        findings = lint_runtime_trace(stats.trace)
-        assert [f for f in findings if f.severity == Severity.ERROR] == []
+        sched = self.tight_scheduler()
+        finish = sched._finish_iteration
+        audits = []
 
-    def test_terminal_snapshot_fully_freed(self):
+        def audited(decoders):
+            finish(decoders)
+            audits.append(lint_kv_allocator(sched.pool.allocator))
+
+        sched._finish_iteration = audited
+        stats = sched.run(copy.deepcopy(tight_workload()))
+        assert stats.preemptions > 0
+        assert len(audits) == stats.iterations
+        assert all(findings == [] for findings in audits)
+
+    def test_allocator_fully_freed_after_the_run(self):
         """After a drained trace every block is back on the free list."""
-        final = self.run_tight().trace.snapshots[-1]
-        assert final.used_blocks == 0
-        assert len(final.free) == final.total_blocks
+        sched = self.tight_scheduler()
+        sched.run(copy.deepcopy(tight_workload()))
+        alloc = sched.pool.allocator
+        assert alloc.used_blocks == 0
+        assert len(alloc.free_block_ids()) == alloc.total_blocks
 
     def test_preempted_requests_recompute(self):
         """Preemption-by-recompute still yields full outputs."""
@@ -342,36 +353,6 @@ class TestTTFT:
         assert stats.mean_ttft_s > 0
         assert stats.ttft_percentile(50) <= stats.ttft_percentile(99)
         assert stats.ttft_percentile(99) <= stats.latency_percentile(100)
-
-
-class TestSnapshots:
-    def exercised(self):
-        alloc = KVBlockAllocator(total_blocks=32, block_size=16)
-        alloc.allocate(0, tokens=20)
-        alloc.fork(0, 1)
-        for _ in range(5):
-            alloc.append_token(1)  # COW then fresh blocks
-        alloc.allocate(2, tokens=3)
-        return alloc
-
-    def test_snapshot_duck_types_as_allocator(self):
-        """The K-rule checker audits a frozen snapshot exactly like the
-        live allocator it was captured from."""
-        alloc = self.exercised()
-        snap = alloc.snapshot(t=1.5, pool="gpu0")
-        assert lint_kv_allocator(snap) == lint_kv_allocator(alloc)
-        assert snap.block_tables() == alloc.block_tables()
-        assert snap.refcounts() == alloc.refcounts()
-        assert snap.used_blocks == alloc.used_blocks
-        assert snap.sequence(1).tokens == alloc.sequence(1).tokens
-
-    def test_snapshot_is_immutable_copy(self):
-        alloc = self.exercised()
-        snap = alloc.snapshot()
-        alloc.free(0)
-        alloc.free(1)
-        assert 0 in snap.block_tables()  # unaffected by later traffic
-        assert snap.total_blocks == 32
 
 
 class TestVerdictLedger:
@@ -466,18 +447,21 @@ class TestDisaggregatedRuntime:
         )
 
     def test_migration_events_and_kv_lifecycle(self):
-        from repro.llm.disaggregation import simulate_disaggregated
+        from repro.llm.disaggregation import build_disaggregated_runtime
 
-        result = simulate_disaggregated(self.config(), snapshot_every=4)
-        trace = result.stats.trace
-        assert trace.count(EventKind.MIGRATE_START) == 1
-        assert trace.count(EventKind.MIGRATE_END) == 1
-        assert len(result.stats.completed) == 4
-        findings = lint_runtime_trace(trace)
-        assert [f for f in findings if f.severity == Severity.ERROR] == []
-        # Terminal snapshot: the decode pool drained completely.
-        final = trace.snapshots[-1]
-        assert final.used_blocks == 0
+        cfg = self.config()
+        rt = build_disaggregated_runtime(cfg)
+        stats = rt.run([
+            SessionRequest(i, 0.0, cfg.prompt_len, cfg.output_len)
+            for i in range(cfg.batch_size)
+        ])
+        assert stats.trace.count(EventKind.MIGRATE_START) == 1
+        assert stats.trace.count(EventKind.MIGRATE_END) == 1
+        assert len(stats.completed) == 4
+        # Both pools drained completely, with consistent bookkeeping.
+        for pool in (rt.prefill_pool, rt.decode_pool):
+            assert lint_kv_allocator(pool.allocator) == []
+            assert pool.allocator.used_blocks == 0
 
     def test_migration_ordering(self):
         """Decode cannot start before the KV lands: every decode step
@@ -510,7 +494,6 @@ class TestGPUPool:
 
     def test_budget_sized_pool_not_oversubscribed(self):
         pool = self.pool()
-        assert not pool.oversubscribed
         assert (
             pool.allocator.total_blocks * pool.block_size * pool.kv_per_token
             <= pool.kv_budget_bytes
