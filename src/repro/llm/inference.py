@@ -146,11 +146,13 @@ class InferenceEngine:
         self._dense_kernel = get_framework("fastertransformer").make_kernel()
         self.comm = CommModel(gpu=self.gpu, ranks=config.num_gpus)
         self._profile_cache: Dict[Tuple[str, int, int, int, float], float] = {}
-        #: ``batch -> (linear_s, comm_s, other_s)`` of one decode step.
-        #: Exact, not an approximation: those three terms read ``batch``
-        #: and the engine's immutable configuration only.  Attention is
-        #: the one term that reads ``context``, so it is never memoised.
-        self._decode_memo: Dict[int, Tuple[float, float, float]] = {}
+        #: ``batch -> (linear_s, comm_s, other_s, kv_coef, mem_den,
+        #: flop_coef, flop_den)`` of one decode step.  Exact, not an
+        #: approximation: each reads ``batch`` and the engine's immutable
+        #: configuration only.  Attention is the one term that reads
+        #: ``context``; the memo holds its batch-only factors, and every
+        #: call finishes the products in their left-to-right order.
+        self._decode_memo: Dict[int, Tuple[float, ...]] = {}
         #: ``n_tokens -> seconds`` of :meth:`prefill_tokens_seconds`.
         self._prefill_memo: Dict[int, float] = {}
 
@@ -210,20 +212,6 @@ class InferenceEngine:
             sparse=False,
         )
 
-    def _decode_attention_seconds(
-        self, context: float, batch: Optional[int] = None
-    ) -> float:
-        """One decode step's fused attention over a ``context``-long cache."""
-        model, cfg = self.model, self.config
-        batch = cfg.batch_size if batch is None else batch
-        g = cfg.num_gpus
-        kv_bytes = 2.0 * 2.0 * shard_dim(model.kv_size, g) * context * batch
-        t_mem = kv_bytes / (self.gpu.dram_bandwidth_bytes * _ATTN_MEM_EFF)
-        heads = shard_dim(model.num_heads, g)
-        flops = 4.0 * batch * heads * model.head_dim * context
-        t_cc = flops / (self.gpu.cuda_fp16_flops * 0.5)
-        return max(t_mem, t_cc) + _ATTN_LAUNCH_S
-
     def _prefill_attention_seconds(
         self, batch: Optional[int] = None, prompt_len: Optional[int] = None
     ) -> float:
@@ -250,21 +238,31 @@ class InferenceEngine:
         simulator composes.  Returns a fresh breakdown on every call."""
         if batch <= 0 or context < 0:
             raise ValueError("batch must be positive and context non-negative")
-        layers = self.model.num_layers
+        model = self.model
+        layers = model.num_layers
         fixed = self._decode_memo.get(batch)
         if fixed is None:
+            g = self.config.num_gpus
             fixed = self._decode_memo[batch] = (
                 layers * self._layer_linears_seconds(batch)
                 + self._lm_head_seconds(batch),
                 layers
-                * self.comm.layer_allreduce_seconds(self.model.hidden_size, batch),
+                * self.comm.layer_allreduce_seconds(model.hidden_size, batch),
                 layers * self._other_seconds(batch)
                 + _STEP_OVERHEAD_S * self.framework.overhead_factor,
+                # Fused attention over the cache: fp16 K and V bytes
+                # read, and QK^T plus PV flops, each ``* context``.
+                2.0 * 2.0 * shard_dim(model.kv_size, g),
+                self.gpu.dram_bandwidth_bytes * _ATTN_MEM_EFF,
+                4.0 * batch * shard_dim(model.num_heads, g) * model.head_dim,
+                self.gpu.cuda_fp16_flops * 0.5,
             )
-        linear_s, comm_s, other_s = fixed
+        linear_s, comm_s, other_s, kv_coef, mem_den, flop_coef, flop_den = fixed
+        t_mem = kv_coef * context * batch / mem_den
+        t_cc = flop_coef * context / flop_den
         return PhaseBreakdown(
             linear_s=linear_s,
-            attention_s=layers * self._decode_attention_seconds(context, batch),
+            attention_s=layers * (max(t_mem, t_cc) + _ATTN_LAUNCH_S),
             comm_s=comm_s,
             other_s=other_s,
         )

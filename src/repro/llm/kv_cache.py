@@ -81,8 +81,9 @@ class KVBlockAllocator:
         would consume: one per sequence whose tail block is full, or
         shared and so copied on write.  Each sequence is counted on its
         own, as if it appended first.  The serving scheduler asks this
-        when it sizes a prefill chunk and before it commits a decode
-        iteration."""
+        when it sizes a prefill chunk, and on a decode pass only when
+        the pool holds fewer free blocks than the batch has sequences
+        (the answer is at most one block per sequence)."""
         size = self.block_size
         needed = 0
         for seq_id in seq_ids:
@@ -98,9 +99,12 @@ class KVBlockAllocator:
     # ---- allocation -----------------------------------------------------------------
 
     def allocate(
-        self, seq_id: int, tokens: int, owner: str = ""
+        self, seq_id: int, tokens: int, owner: str = "",
+        payload_version: int = 0,
     ) -> SequenceAllocation:
-        """Allocate blocks for a new sequence of ``tokens`` tokens."""
+        """Allocate blocks for a new sequence of ``tokens`` tokens.  A
+        payload shipped from another pool arrives with its
+        ``payload_version``."""
         if seq_id in self._sequences:
             raise KeyError(f"sequence {seq_id} already allocated")
         needed = self.blocks_needed(tokens)
@@ -109,7 +113,10 @@ class KVBlockAllocator:
                 f"need {needed} blocks for sequence {seq_id}, "
                 f"only {self.free_blocks} free"
             )
-        alloc = SequenceAllocation(seq_id=seq_id, tokens=tokens, owner=owner)
+        alloc = SequenceAllocation(
+            seq_id=seq_id, tokens=tokens, owner=owner,
+            payload_version=payload_version,
+        )
         for _ in range(needed):
             block = self._free.pop()
             self._refcount[block] = 1
@@ -129,6 +136,16 @@ class KVBlockAllocator:
         pool cannot supply every block it raises ``MemoryError`` and
         changes nothing.
         """
+        if n == 1:
+            # Decode's case: one token into a private tail with room.
+            alloc = self._sequences.get(seq_id)
+            if (
+                alloc is not None
+                and alloc.tokens < len(alloc.block_ids) * self.block_size
+                and self._refcount[alloc.block_ids[-1]] == 1
+            ):
+                alloc.tokens += 1
+                return False
         if n < 0:
             raise ValueError(f"cannot append {n} tokens")
         alloc = self.sequence(seq_id)

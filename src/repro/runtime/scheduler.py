@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from ..llm.inference import PhaseBreakdown
+from ..llm.kv_cache import SequenceAllocation
 from .core import EventLoop, GPUPool, det_hash01
 from .events import EventKind
 from .policies import AdmissionPolicy, get_policy
@@ -64,16 +65,16 @@ class SeqState:
     req: object
     seq_id: int
     prefill_target: int
+    #: The allocator's block table for ``seq_id``, as ``allocate`` or
+    #: ``fork`` returned it.  The scheduler reads it; only the
+    #: allocator's methods write it.
+    kv: SequenceAllocation
     prefill_done: int = 0
     reserved_blocks: int = 0
     admit_order: int = 0
     #: Prefix tokens materialised by a session-cache fork at admission
     #: (never re-prefilled; 0 for one-shot requests).
     cached: int = 0
-
-    @property
-    def decoding(self) -> bool:
-        return self.prefill_done >= self.prefill_target
 
 
 def _traced(kind: str) -> property:
@@ -459,16 +460,10 @@ class ContinuousBatchingScheduler:
         """Allocate and (in blocking mode) charge the prefill; returns
         the new sequence and the seconds of prefill charged."""
         alloc = self.pool.allocator
+        seq_id = req.request_id
         target = req.prefill_target
         hit = self._prefix_hit(req)
         cached = 0
-        seq = SeqState(
-            req=req,
-            seq_id=req.request_id,
-            prefill_target=target,
-            admit_order=self._admit_counter,
-        )
-        self._admit_counter += 1
         cost = 0.0
         if hit is not None:
             # Session prefix reuse: share the prefix blocks copy-on-
@@ -476,27 +471,37 @@ class ContinuousBatchingScheduler:
             # the prefix's tokens resident; writes past (or into) a
             # shared tail block pay the COW copy inside append_token.
             parent, cached = hit
-            alloc.fork(parent, seq.seq_id)
-            seq.cached = cached
-            seq.prefill_done = cached
+            kv = alloc.fork(parent, seq_id)
+            done = cached
             self.stats.cached_prefill_tokens += cached
             if self.prefill_mode != "chunked":
-                alloc.append_token(seq.seq_id, target - cached)
-                seq.prefill_done = target
+                alloc.append_token(seq_id, target - cached)
+                done = target
                 if self.prefill_mode == "blocking":
                     cost = self.pool.prefill_tokens_seconds(target - cached)
                     self.stats.prefill_s += cost
                 self.stats.prefill_tokens += target - cached
         elif self.prefill_mode == "chunked":
-            alloc.allocate(seq.seq_id, 0)
+            kv = alloc.allocate(seq_id, 0)
+            done = 0
         else:
-            alloc.allocate(seq.seq_id, target)
-            seq.prefill_done = target
+            kv = alloc.allocate(seq_id, target)
+            done = target
             if self.prefill_mode == "blocking":
                 cost = self.pool.prefill_tokens_seconds(target)
                 self.stats.prefill_s += cost
             if self.prefill_mode != "preloaded":
                 self.stats.prefill_tokens += target
+        seq = SeqState(
+            req=req,
+            seq_id=seq_id,
+            prefill_target=target,
+            kv=kv,
+            prefill_done=done,
+            admit_order=self._admit_counter,
+            cached=cached,
+        )
+        self._admit_counter += 1
         if not self.preemption:
             seq.reserved_blocks = self.pool.blocks_for(req.total_tokens)
             self._committed_blocks += seq.reserved_blocks
@@ -540,8 +545,7 @@ class ContinuousBatchingScheduler:
 
     def _tail_slack(self, seq: SeqState) -> int:
         """Token slots left in the sequence's allocated blocks."""
-        alloc = self.pool.allocator.sequence(seq.seq_id)
-        return len(alloc.block_ids) * self.pool.block_size - alloc.tokens
+        return len(seq.kv.block_ids) * self.pool.block_size - seq.kv.tokens
 
     def _fit_prefill_tokens(self, seq: SeqState, want: int) -> int:
         """How many prefill tokens fit right now, preempting if allowed."""
@@ -562,12 +566,15 @@ class ContinuousBatchingScheduler:
         self, decoders: List[SeqState]
     ) -> List[SeqState]:
         """Guarantee one-token appends for the decode batch, shedding
-        the lowest-priority sequences when the pool is dry."""
+        the lowest-priority sequences when the pool is dry.  One token
+        takes at most one block per sequence (a fresh tail or a
+        copy-on-write copy), so a pool with a free block per decoder
+        needs no scan."""
         alloc = self.pool.allocator
-        while True:
+        while alloc.free_blocks < len(decoders):
             needed = alloc.next_token_blocks(s.seq_id for s in decoders)
             if alloc.free_blocks >= needed:
-                return decoders
+                break
             if not self.preemption:
                 raise MemoryError(
                     f"KV pool dry: {needed} blocks needed, "
@@ -582,6 +589,7 @@ class ContinuousBatchingScheduler:
                 )
             self._preempt(victim)
             decoders = [s for s in decoders if s.seq_id in self._running]
+        return decoders
 
     def _start_iteration(self) -> None:
         loop = self._loop
@@ -638,17 +646,22 @@ class ContinuousBatchingScheduler:
             self.stats.prefill_tokens += chunk_done
 
         # Decode step for every sequence past its prefill target.
-        decoders = [s for s in self._running.values() if s.decoding]
+        decoders = [
+            s for s in self._running.values()
+            if s.prefill_done >= s.prefill_target
+        ]
         decode_time = 0.0
         if decoders:
             decoders = self._ensure_decode_capacity(decoders)
         self._iter_corrupt = self._draw_sdc() if decoders else False
         if decoders:
-            contexts = [alloc.sequence(s.seq_id).tokens for s in decoders]
-            avg_context = sum(contexts) / len(decoders)
-            step = self.pool.decode_step(len(decoders), avg_context)
+            # The step reads each cache's length before its token lands.
+            context = 0
             for seq in decoders:
+                context += seq.kv.tokens
                 alloc.append_token(seq.seq_id)
+            avg_context = context / len(decoders)
+            step = self.pool.decode_step(len(decoders), avg_context)
             decode_time = step.total_s
             check_s = self._verification_cost(decode_time)
             if check_s:
@@ -741,7 +754,7 @@ class ContinuousBatchingScheduler:
                     final=req.generated >= req.output_len,
                 ))
             if req.generated >= req.output_len:
-                if alloc.sequence(seq.seq_id).payload_version:
+                if seq.kv.payload_version:
                     # Completed on garbled KV that verification never
                     # looked at — the silently-served-corruption case.
                     req.corrupted = True
@@ -775,7 +788,7 @@ class ContinuousBatchingScheduler:
         seq = self._running.pop(req.request_id, None)
         if seq is not None:
             # Tokens materialised in KV are discarded — wasted work.
-            tokens = self.pool.allocator.sequence(seq.seq_id).tokens
+            tokens = seq.kv.tokens
             self.pool.allocator.free(seq.seq_id)
             self._committed_blocks -= seq.reserved_blocks
             self.stats.wasted_recompute_tokens += tokens
@@ -908,17 +921,15 @@ class ContinuousBatchingScheduler:
         cache and recompute from the prompt (preemption's recompute
         discipline) instead of serving wrong context.  Returns False
         when a detection quarantined the pool mid-scan."""
-        alloc = self.pool.allocator
         now = self._loop.now
         for seq in decoders:
             if seq.seq_id not in self._running:
                 continue
-            if alloc.sequence(seq.seq_id).payload_version == 0:
+            if seq.kv.payload_version == 0:
                 continue
             self.trace.record(
                 now, EventKind.CORRUPT_DETECTED, seq.seq_id,
-                self.pool.name, source="kv_tag",
-                tokens=alloc.sequence(seq.seq_id).tokens,
+                self.pool.name, source="kv_tag", tokens=seq.kv.tokens,
             )
             self._preempt(seq)
             if self.router is not None:
@@ -1000,9 +1011,7 @@ class ContinuousBatchingScheduler:
         self._sdc_frac = 0.0
         victims = [s.req for s in self._running.values()]
         for seq in self._running.values():
-            self.stats.wasted_recompute_tokens += (
-                self.pool.allocator.sequence(seq.seq_id).tokens
-            )
+            self.stats.wasted_recompute_tokens += seq.kv.tokens
         self.pool.allocator.free_all()
         self._running.clear()
         self._committed_blocks = 0

@@ -337,10 +337,12 @@ class SessionManager:
             return 0
         new_id = self._next_prefix_id
         self._next_prefix_id -= 1
-        alloc.allocate(new_id, tokens, owner=self.owner(session_id))
         # The payload travels with its integrity generation: a shipped
         # (undetected) corruption stays traceable on the target.
-        alloc.sequence(new_id).payload_version = version
+        alloc.allocate(
+            new_id, tokens, owner=self.owner(session_id),
+            payload_version=version,
+        )
         source.pool.allocator.free(entry.seq_id)
         self._prefixes[session_id] = SessionPrefix(
             pool=target_sched.pool.name, seq_id=new_id, tokens=tokens

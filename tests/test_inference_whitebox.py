@@ -12,9 +12,14 @@ import pytest
 from repro.gpu.specs import RTX4090
 from repro.kernels import make_kernel
 from repro.kernels.base import SpMMProblem
-from repro.llm.inference import InferenceConfig, InferenceEngine
+from repro.llm.inference import (
+    _ATTN_LAUNCH_S,
+    _ATTN_MEM_EFF,
+    InferenceConfig,
+    InferenceEngine,
+)
 from repro.llm.models import get_model
-from repro.llm.parallel import CommModel
+from repro.llm.parallel import CommModel, shard_dim
 from repro.runtime.core import GPUPool
 
 
@@ -54,6 +59,25 @@ class TestDecodeStep:
         layers = e.model.num_layers
         fixed = layers * 40e-6  # per-layer launch component
         assert (long - fixed) / (short - fixed) == pytest.approx(8.0, rel=0.2)
+
+    def test_attention_is_the_formula_in_its_written_order(self):
+        """The memo keeps attention's batch-only factors; each call must
+        finish the products left to right, as the formula below reads,
+        so every float equals the direct evaluation."""
+        e = engine()
+        m, g, gpu = e.model, e.config.num_gpus, e.gpu
+        rng = random.Random(1)
+        for _ in range(200):
+            batch = rng.randint(1, 64)
+            context = rng.randint(0, 2048 * batch) / batch  # a batch mean
+            kv_bytes = 2.0 * 2.0 * shard_dim(m.kv_size, g) * context * batch
+            t_mem = kv_bytes / (gpu.dram_bandwidth_bytes * _ATTN_MEM_EFF)
+            flops = (
+                4.0 * batch * shard_dim(m.num_heads, g) * m.head_dim * context
+            )
+            t_cc = flops / (gpu.cuda_fp16_flops * 0.5)
+            want = m.num_layers * (max(t_mem, t_cc) + _ATTN_LAUNCH_S)
+            assert e.decode_step_seconds(batch, context).attention_s == want
 
     def test_step_batch_monotone(self):
         e = engine()

@@ -4,7 +4,7 @@
 terminal bucket, and a count that the trace or the completed bucket
 already holds is read from there, never bumped beside it.  The KV
 allocator's bookkeeping (free list, refcounts, block tables, token
-counts) is written only by ``KVBlockAllocator``'s methods, which keep
+counts, payload versions) is written only by ``KVBlockAllocator``'s methods, which keep
 K004/K005 as they write.  The token stream's events are built only by
 ``ContinuousBatchingScheduler._finish_iteration``.  This guard walks
 ``src/repro`` for a write that goes round any of these rules.
@@ -26,7 +26,10 @@ DERIVED = {
 
 #: ``KVBlockAllocator`` / ``SequenceAllocation`` state that only
 #: ``repro/llm/kv_cache.py`` may write.
-KV_STATE = {"_refcount", "_free", "_sequences", "block_ids", "tokens"}
+KV_STATE = {
+    "_refcount", "_free", "_sequences", "block_ids", "tokens",
+    "payload_version",
+}
 
 #: Methods that change a list or dict in place.
 MUTATORS = {

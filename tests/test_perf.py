@@ -10,7 +10,9 @@ import pytest
 from repro.cli import main
 from repro.perf.regression import compare_documents, render_regressions
 from repro.perf.suite import (
+    _RUNTIME_CASES,
     BENCH_SCHEMA,
+    DEFAULT_SEED,
     SUITES,
     load_results,
     run_suite,
@@ -119,6 +121,17 @@ class TestSuite:
                         f"{suite}/{case}: committed {want} != fresh {got}"
                     )
         assert not problems, "\n".join(problems)
+
+    def test_chunked_preemption_case_preempts(self):
+        """The case's checksum pins preemptions, so its quick run must
+        make some, and still complete every request."""
+        builder, _full, quick, _exact = _RUNTIME_CASES[
+            "scheduler_chunked_preemption"
+        ]
+        thunk, _checksum = builder(quick, 0.6, DEFAULT_SEED)
+        stats = thunk()
+        assert stats.preemptions > 0
+        assert len(stats.completed) == quick[0]
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):

@@ -269,6 +269,16 @@ class TestPreemption:
         for r in self.run_tight().completed:
             assert r.generated == r.output_len
 
+    def test_trace_is_pinned(self):
+        """About a fifth of this run's decode passes find fewer free
+        blocks than decoders, so they scan and preempt.  Any change to
+        which sequence a pass sheds, or when, moves the digest."""
+        stats = self.run_tight()
+        assert (stats.preemptions, stats.iterations) == (258, 1038)
+        assert stats.trace.digest() == (
+            "b2a3c9d42af2c9c50090a901943d13fd0ab0bf84338137bed3bb04472bce75b9"
+        )
+
 
 class TestChunkedPrefill:
     def test_chunk_events_emitted(self):
