@@ -15,17 +15,12 @@ machine-checked properties that run without executing anything:
   (``T001``–``T005``), KV-cache plans and allocators
   (``K001``–``K005``), offload feasibility (``O001``–``O004``) and
   disaggregated configurations (``D001``–``D004``);
-* :mod:`~repro.analysis.fault_lint` — recovery-policy backoff
-  (``R001``);
 * :mod:`~repro.analysis.integrity_lint` — served-despite-detection
-  (``C002``), unreachable or hair-trigger quarantine (``C003``) and
-  SDC-run ledger audits (``C005``);
-* :mod:`~repro.analysis.fleet_lint` — autoscaling-policy sanity
-  (flapping, kill-on-scale-down, unbounded ceilings: ``A001``–``A003``)
-  and fleet-run lifecycle audits (``A005``);
-* :mod:`~repro.analysis.server_lint` — streaming-server admission
-  policies and session-prefix ownership (``Q001``, ``Q002``,
-  ``Q004``);
+  (``C002``) and SDC-run ledger audits (``C005``);
+* :mod:`~repro.analysis.fleet_lint` — fleet-run lifecycle audits
+  (``A005``);
+* :mod:`~repro.analysis.server_lint` — session-prefix ownership
+  (``Q002``);
 * :mod:`~repro.analysis.source_lint` — determinism hazards in this
   repo's own Python source: ambient RNG, wall-clock reads, iteration
   order over unordered collections (``S001``–``S006``);

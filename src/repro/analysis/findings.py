@@ -3,11 +3,10 @@
 Every rule has a stable ID (``W...`` warp-IR, ``P...`` pipeline,
 ``F...`` format, the deployment families ``M...`` memory, ``T...``
 tensor-parallel, ``K...`` KV-cache, ``O...`` offload, ``D...``
-disaggregation, ``R...`` recovery/fault-tolerance, ``C...``
-integrity, ``A...`` autoscaling, ``Q...`` server admission, and the
-determinism families ``S...`` source hazards and ``H...`` schedule
-races found by dual replay) so CI gates, docs and tests can refer to
-findings without string-matching messages.
+disaggregation, the run audits ``C...`` integrity, ``A...`` fleet and
+``Q...`` server sessions, and the determinism families ``S...`` source
+hazards and ``H...`` schedule races found by dual replay) so CI gates,
+docs and tests can refer to findings without string-matching messages.
 
 The catalogue itself is a *registration table*: each lint module owns
 its family's :class:`Rule` definitions and registers them here at
@@ -95,7 +94,6 @@ _LINT_MODULES: Tuple[str, ...] = (
     "repro.analysis.pipeline_lint",
     "repro.analysis.format_lint",
     "repro.analysis.plan_lint",
-    "repro.analysis.fault_lint",
     "repro.analysis.integrity_lint",
     "repro.analysis.fleet_lint",
     "repro.analysis.server_lint",

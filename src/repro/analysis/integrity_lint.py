@@ -1,33 +1,27 @@
-"""Static checks on integrity policies and SDC-run outcomes (C rules).
+"""Checks on SDC-run outcomes (C rules).
 
 An integrity layer that is misconfigured is worse than none: it costs
 throughput while advertising protection it does not deliver.  The C
-rules catch the shapes that make it a lie — corruption detected yet
-served anyway (C002), quarantine that can never fire or fires on the
-first transient (C003) — and audit finished runs' ledgers (C005): no
-more detections than injections, none without a verifier, no negative
-verification time.  The SDC counts are read from the run's trace, so
-they cannot disagree with it.  The verification costs are class
-constants of
-:class:`~repro.integrity.policy.IntegrityPolicy`, so no policy can
-model a check as free.
+rules audit finished runs: corruption detected yet served anyway
+(C002), and a ledger that does not balance (C005): more detections than
+injections, detections with no verifier, or negative verification
+time.  The SDC counts are read from the run's trace, so they cannot
+disagree with it.  The policy itself needs no linter:
+:class:`~repro.integrity.policy.IntegrityPolicy` refuses a quarantine
+threshold with no verification pass when it is built, and its
+verification costs are class constants, so no policy can model a check
+as free.
 
 ``check_builtin_integrity_artifacts`` is the ``repro lint --integrity``
-sweep: shipped policies lint clean, every deliberately broken policy in
-:data:`~repro.integrity.policy.BROKEN_INTEGRITY_POLICIES` trips exactly
-its documented rules, synthetic outcome probes trip C002/C005, and a
-quick live run per SDC plan and arm must audit clean.
+sweep: synthetic outcome probes must trip C002/C005, and a quick live
+run per SDC plan and arm must audit clean.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional
 
-from ..integrity.policy import (
-    BROKEN_INTEGRITY_POLICIES,
-    INTEGRITY_POLICIES,
-    IntegrityPolicy,
-)
+from ..integrity.policy import INTEGRITY_POLICIES, IntegrityPolicy
 from .findings import (
     Finding,
     Report,
@@ -38,56 +32,23 @@ from .findings import (
 )
 
 __all__ = [
-    "lint_integrity_policy",
     "lint_integrity_outcome",
     "check_builtin_integrity_artifacts",
 ]
 
 register_rules(
-    "C", "integrity policies and SDC traces", __name__, "--integrity",
+    "C", "SDC traces", __name__, "--integrity",
     [
         Rule("C002", "corruption-detected-but-served", Severity.ERROR,
              "a verifying run completed requests whose payload the ground "
              "truth marks corrupted — detection exists but the serving "
              "path ignored it"),
-        Rule("C003", "quarantine-misconfigured", Severity.ERROR,
-             "quarantine threshold that can never trigger (no verification "
-             "pass produces detections) or triggers on the first detection "
-             "(one transient flip permanently removes a replica)"),
         Rule("C005", "integrity-trace-inconsistent", Severity.ERROR,
              "the SDC ledger does not balance: detections exceed "
              "injections, detections with no verifier attached, or "
              "negative verification time"),
     ],
 )
-
-
-def lint_integrity_policy(policy: IntegrityPolicy) -> List[Finding]:
-    """C003 over one :class:`IntegrityPolicy`."""
-    findings: List[Finding] = []
-    subject = f"integrity:{policy.name}"
-
-    if policy.quarantine_after is not None and not policy.verifies_anything:
-        findings.append(
-            Finding(
-                "C003",
-                f"quarantine_after={policy.quarantine_after} with no "
-                "verification pass enabled: detections can never occur, "
-                "so the quarantine trigger is unreachable",
-                subject=subject,
-            )
-        )
-    if policy.quarantine_after == 1:
-        findings.append(
-            Finding(
-                "C003",
-                "quarantine_after=1 is a hair trigger: a single "
-                "transient bit flip permanently removes a replica and "
-                "its capacity",
-                subject=subject,
-            )
-        )
-    return findings
 
 
 def lint_integrity_outcome(
@@ -158,27 +119,11 @@ class _SyntheticStats:
 def check_builtin_integrity_artifacts(run_live: bool = True) -> Report:
     """The ``repro lint --integrity`` sweep.
 
-    Shipped policies must be clean; broken ones must trip exactly their
-    documented rules; two synthetic outcome probes must trip C002 and
-    C005; and (with ``run_live``) a quick SDC run per plan and arm must
-    audit clean.
+    Two synthetic outcome probes must trip C002 and C005, and (with
+    ``run_live``) a quick SDC run per plan and arm must audit clean.
     """
     report = Report()
     report.add_family("C")
-    for name in sorted(INTEGRITY_POLICIES):
-        report.extend(lint_integrity_policy(INTEGRITY_POLICIES[name]))
-        report.checked += 1
-    for name in sorted(BROKEN_INTEGRITY_POLICIES):
-        policy, expected = BROKEN_INTEGRITY_POLICIES[name]
-        report.extend(
-            reconcile_expected(
-                lint_integrity_policy(policy),
-                expected,
-                subject=f"integrity:{policy.name}",
-                context="builtin broken policy",
-            )
-        )
-        report.checked += 1
 
     # Synthetic outcome probes: a served-despite-detection run and an
     # unbalanced ledger.  Both must trip, or the outcome audit regressed.
@@ -194,7 +139,7 @@ def check_builtin_integrity_artifacts(run_live: bool = True) -> Report:
             ),
             ("C002",),
             subject="probe:detected-but-served",
-            context="builtin broken policy",
+            context="synthetic outcome probe",
         )
     )
     report.checked += 1
@@ -207,7 +152,7 @@ def check_builtin_integrity_artifacts(run_live: bool = True) -> Report:
             ),
             ("C005",),
             subject="probe:unbalanced-ledger",
-            context="builtin broken policy",
+            context="synthetic outcome probe",
         )
     )
     report.checked += 1

@@ -14,10 +14,9 @@ Subcommands mirror the library's main entry points::
     repro fleet --json              # capacity planner: policy sweep -> Pareto
     repro lint --all-builtin        # static checks (W*/P*/F* rules)
     repro lint --deployment         # deployment checks (M*/T*/K*/O*/D*)
-    repro lint --faults             # recovery-policy checks (R* rules)
-    repro lint --integrity          # integrity-policy/SDC checks (C*)
-    repro lint --fleet              # autoscaler/fleet checks (A* rules)
-    repro lint --server             # server admission/session checks (Q*)
+    repro lint --integrity          # SDC-run ledger audits (C* rules)
+    repro lint --fleet              # fleet spec/run checks (A* rules)
+    repro lint --server             # session prefix-leak audit (Q*)
     repro lint --source             # determinism lint of repo source (S*)
     repro lint --schedule           # schedule-race dual replay (H002)
     repro lint --list-rules         # combined rule catalogue
@@ -698,7 +697,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_lint(args: argparse.Namespace) -> int:
     from .analysis.builtin import check_all_builtin_programs
-    from .analysis.fault_lint import check_builtin_fault_artifacts
     from .analysis.findings import Report, Severity, ensure_all_registered, rule_table
     from .analysis.fleet_lint import check_builtin_fleet_artifacts
     from .analysis.integrity_lint import check_builtin_integrity_artifacts
@@ -723,22 +721,18 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     # Target selection: --all-builtin sweeps the kernel-layer artifacts
     # (warp programs, pipeline traces, formats), --deployment sweeps the
     # deployment artifacts (specs, KV plans, offload, disaggregation,
-    # planner output), --faults sweeps recovery policies, --fleet sweeps
-    # autoscaler policies and quick fleet runs (flapping,
-    # kill-on-scale-down, unbounded ceilings, conservation), --server
-    # sweeps admission policies / session teardown / token-stream
-    # ordering, --source lints this repo's own Python for determinism
-    # hazards, --schedule dual-replays every builtin scenario under a
-    # reversed same-time tie-break, --integrity sweeps integrity
-    # policies and SDC-run ledger audits.  With no flag every sweep runs.
+    # planner output), --fleet sweeps fleet specs and audits quick fleet
+    # runs, --server audits session teardown in quick server runs,
+    # --source lints this repo's own Python for determinism hazards,
+    # --schedule dual-replays every builtin scenario under a reversed
+    # same-time tie-break, --integrity audits SDC-run ledgers.  With no
+    # flag every sweep runs.
     any_flag = (
-        args.all_builtin or args.deployment or args.faults
-        or args.fleet or args.server or args.source or args.schedule
-        or args.integrity
+        args.all_builtin or args.deployment or args.fleet or args.server
+        or args.source or args.schedule or args.integrity
     )
     run_programs = args.all_builtin or not any_flag
     run_deployments = args.deployment or not any_flag
-    run_faults = args.faults or not any_flag
     run_fleet = args.fleet or not any_flag
     run_server = args.server or not any_flag
     run_source = args.source or not any_flag
@@ -748,7 +742,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     for enabled, sweep in (
         (run_programs, check_all_builtin_programs),
         (run_deployments, check_all_builtin_deployments),
-        (run_faults, check_builtin_fault_artifacts),
         (run_fleet, check_builtin_fleet_artifacts),
         (run_server, check_builtin_server_artifacts),
         (run_source, check_source),
@@ -1051,9 +1044,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint = sub.add_parser(
         "lint",
         help="statically check warp programs, pipeline schedules, sparse "
-        "formats, deployment plans, recovery policies, the repo's own "
-        "source, the event-loop schedule and integrity policies "
-        "(rules W*/P*/F*/M*/T*/K*/O*/D*/R*/A*/Q*/S*/H*/C*, see "
+        "formats, deployment plans, the repo's own source and the "
+        "event-loop schedule, and audit quick fleet, server and SDC runs "
+        "(rules W*/P*/F*/M*/T*/K*/O*/D*/A*/Q*/S*/H*/C*, see "
         "docs/ANALYSIS.md)",
     )
     p_lint.add_argument(
@@ -1068,23 +1061,14 @@ def build_parser() -> argparse.ArgumentParser:
         "and cross-check the planner's output",
     )
     p_lint.add_argument(
-        "--faults", action="store_true",
-        help="sweep the builtin recovery policies (good ones must be "
-        "clean, deliberately broken ones must trip their documented "
-        "R rules)",
-    )
-    p_lint.add_argument(
         "--fleet", action="store_true",
-        help="sweep the builtin fleet specs and autoscaler policies "
-        "(good ones must be clean, deliberately broken ones must trip "
-        "their documented A rules) and audit quick fleet runs — "
-        "including a fault arm — for a consistent replica lifecycle",
+        help="sweep the builtin fleet specs through the deployment and "
+        "KV rules and audit quick fleet runs — including a fault arm — "
+        "for a consistent replica lifecycle",
     )
     p_lint.add_argument(
         "--server", action="store_true",
-        help="sweep the builtin server policies (good ones clean, "
-        "deliberately broken ones tripping their documented Q rules) "
-        "and audit a quick multi-turn run, fault-free and under "
+        help="audit a quick multi-turn run, fault-free and under "
         "gpu-crash, for prefix-block leaks",
     )
     p_lint.add_argument(
@@ -1101,10 +1085,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_lint.add_argument(
         "--integrity", action="store_true",
-        help="sweep the builtin integrity policies (shipped ones clean, "
-        "deliberately broken ones tripping their documented C rules), "
-        "regression-test the outcome audit against synthetic probes, "
-        "and ledger-audit quick SDC runs per plan and arm",
+        help="regression-test the outcome audit against synthetic "
+        "probes and ledger-audit quick SDC runs per plan and arm",
     )
     p_lint.add_argument(
         "--list-rules", action="store_true",

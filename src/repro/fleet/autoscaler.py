@@ -4,10 +4,11 @@ An :class:`AutoscalerPolicy` is pure decision logic — given the fleet's
 observed utilization and queue depth it returns a desired replica
 count; the :class:`~repro.fleet.simulator.FleetSimulator` turns the
 delta into timed provision/drain events.  Keeping the policy pure makes
-it lintable (the A rules judge the *parameters*: hysteresis band,
-bounds, drain behaviour) and makes the decision trivially
-deterministic.  The hysteresis floor, scale step, cooldown and
-evaluation interval are class constants that every policy shares.
+the decision trivially deterministic.  The constructor refuses the
+shapes a feedback loop cannot run well: a dynamic policy needs a
+hysteresis band above the scale-down floor and a replica ceiling.  The
+hysteresis floor, scale step, cooldown and evaluation interval are class
+constants that every policy shares; a scale-down always drains.
 
 Two dynamic variants plus a static baseline:
 
@@ -19,10 +20,6 @@ Two dynamic variants plus a static baseline:
 * ``static`` — ``min_replicas == max_replicas``, never scales.  The
   capacity planner sweeps these as the provisioning baselines the
   autoscalers must beat on cost.
-
-``BROKEN_AUTOSCALER_POLICIES`` are deliberately mis-configured fixtures
-mapped to the A-rule ids they must trip — the same reconciliation
-discipline as ``BROKEN_RECOVERY_POLICIES`` (R family).
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ __all__ = [
     "AutoscalerPolicy",
     "static_policy",
     "AUTOSCALER_POLICIES",
-    "BROKEN_AUTOSCALER_POLICIES",
     "get_autoscaler_policy",
 ]
 
@@ -53,20 +49,17 @@ class AutoscalerPolicy:
 
     name: str
     mode: str = "target-utilization"
-    #: Fleet-size bounds.  ``max_replicas=None`` means unbounded — legal
-    #: to construct, but lint rule A003 flags the unbounded bill.
+    #: Fleet-size bounds.  A ceiling is required: without one a traffic
+    #: spike or a stuck-high signal provisions replicas without limit.
     min_replicas: int = 2
-    max_replicas: Optional[int] = 4
+    max_replicas: int = 4
     #: Scale-up trigger: utilization fraction (target-utilization) or
     #: queued requests per active replica (queue-depth).
     target: float = 0.5
-    #: Scale-down behaviour: True aborts in-flight requests instead of
-    #: draining (rule A002 — data loss by configuration).  A drain
-    #: always migrates session KV prefixes to a survivor.
-    # No shipped policy sets it, but it feeds the replay-pinned ``kills`` key.
-    kill_in_flight: bool = False
-    #: Hysteresis floor — scale down only below this.  A floor at or
-    #: above ``target`` leaves no dead band and flaps (rule A001).
+    #: Hysteresis floor — scale down only below this.  A dynamic
+    #: policy's ``target`` must sit above it: with no dead band, one
+    #: signal value can trigger scale-up and scale-down, so the fleet
+    #: flaps, paying boot cost for zero served tokens.
     down_target: ClassVar[float] = 0.2
     #: Replicas added/removed per decision.
     scale_step: ClassVar[int] = 1
@@ -83,24 +76,31 @@ class AutoscalerPolicy:
             )
         if self.min_replicas < 1:
             raise ValueError("min_replicas must be at least 1")
-        if (
-            self.max_replicas is not None
-            and self.max_replicas < self.min_replicas
-        ):
+        if self.max_replicas is None:
+            raise ValueError(
+                "max_replicas is required: an unbounded fleet turns one "
+                "traffic spike into an unbounded bill"
+            )
+        if self.max_replicas < self.min_replicas:
             raise ValueError("max_replicas cannot be below min_replicas")
         if self.target <= 0:
             raise ValueError("target must be positive")
-        if self.mode == "static" and self.max_replicas != self.min_replicas:
+        if self.mode == "static":
+            if self.max_replicas != self.min_replicas:
+                raise ValueError(
+                    "a static policy needs min_replicas == max_replicas"
+                )
+        elif self.target <= self.down_target:
             raise ValueError(
-                "a static policy needs min_replicas == max_replicas"
+                f"target={self.target} is not above down_target="
+                f"{self.down_target}: with no hysteresis band the policy "
+                "flaps between scale-up and scale-down"
             )
 
     # ---- decision --------------------------------------------------------------------
 
     def bounded(self, n: int) -> int:
-        lo = self.min_replicas
-        hi = self.max_replicas if self.max_replicas is not None else n
-        return max(lo, min(n, max(lo, hi)))
+        return max(self.min_replicas, min(n, self.max_replicas))
 
     def desired_replicas(
         self, count: int, utilization: float, queue_depth: int
@@ -137,9 +137,9 @@ def static_policy(n: int, name: Optional[str] = None) -> AutoscalerPolicy:
     )
 
 
-#: Sane builtin policies: clean under ``repro lint --fleet`` and swept
-#: by the capacity planner.  Dynamic minimums sit at 2 so the chaos-mix
-#: fault arm (which targets gpu0/gpu1) always finds its pools.
+#: The shipped policies, swept by the capacity planner.  Dynamic
+#: minimums sit at 2 so the chaos-mix fault arm (which targets
+#: gpu0/gpu1) always finds its pools.
 AUTOSCALER_POLICIES: Dict[str, AutoscalerPolicy] = {
     "target-util": AutoscalerPolicy(name="target-util"),
     "queue-depth": AutoscalerPolicy(
@@ -148,28 +148,6 @@ AUTOSCALER_POLICIES: Dict[str, AutoscalerPolicy] = {
     "static-2": static_policy(2),
     "static-3": static_policy(3),
     "static-4": static_policy(4),
-}
-
-#: Deliberately broken fixtures → the A rules each must trip.
-BROKEN_AUTOSCALER_POLICIES: Dict[
-    str, Tuple[AutoscalerPolicy, Tuple[str, ...]]
-] = {
-    # Scale-up trigger on the scale-down floor: no hysteresis band, so
-    # every evaluation may reverse the previous one — textbook flapping.
-    "flappy": (
-        AutoscalerPolicy(name="flappy", target=0.2),
-        ("A001",),
-    ),
-    # Scale-down that aborts in-flight requests: configured data loss.
-    "reaper": (
-        AutoscalerPolicy(name="reaper", kill_in_flight=True),
-        ("A002",),
-    ),
-    # No replica ceiling: a traffic spike writes a blank check.
-    "land-grab": (
-        AutoscalerPolicy(name="land-grab", max_replicas=None),
-        ("A003",),
-    ),
 }
 
 

@@ -167,7 +167,6 @@ def _outcome_dict(outcome: FleetOutcome) -> Dict:
             "scale_downs": outcome.scale_downs,
             "scale_denied": outcome.scale_denied,
             "drains": outcome.drains,
-            "kills": outcome.kills,
             "peak_replicas": peak,
             "trough_replicas": trough,
             "replica_seconds_by_class": {

@@ -39,7 +39,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..gpu.specs import get_gpu
 from ..llm.serving import ServingConfig, ServingSimulator
 from ..runtime.core import EventLoop
-from ..runtime.events import EventKind
 from ..runtime.faults import FaultPlan
 from ..runtime.scheduler import RuntimeStats
 from ..server.admission import ServerPolicy
@@ -102,7 +101,6 @@ class FleetOutcome:
     scale_downs: int
     scale_denied: int
     drains: int
-    kills: int
     kv_migrations: int
     kv_migrated_tokens: int
     kv_migration_drops: int
@@ -212,7 +210,6 @@ class FleetSimulator(StreamingServer):
         self.scale_downs = 0
         self.scale_denied = 0
         self.drains = 0
-        self.kills = 0
 
     # ---- replica construction --------------------------------------------------------
 
@@ -356,32 +353,8 @@ class FleetSimulator(StreamingServer):
         info.state = "draining"
         self.drains += 1
         self.runtime.set_draining(info.name)
-        sched = self.runtime._by_pool[info.name]
-        if self.policy.kill_in_flight:
-            # The A002 fixture behaviour: abort resident work instead of
-            # letting it finish.  Every victim lands in the shed bucket,
-            # so conservation still holds — the loss is the point.
-            self.kills += self._kill_resident(sched)
         # An already-empty pool finishes its drain end-of-instant.
         self.loop.defer(self._check_drains)
-
-    def _kill_resident(self, sched) -> int:
-        now = self.loop.now
-        killed = 0
-        for req in [s.req for s in sched._running.values()]:
-            if sched.evict(req, EventKind.SHED, reason="scale-down kill"):
-                killed += 1
-        while True:
-            queued = sched._policy.pop_ready(now)
-            if queued is None:
-                break
-            self.runtime.stats.terminate(
-                now, EventKind.SHED, queued, sched.pool.name,
-                reason="scale-down kill",
-            )
-            sched._resolve(queued)
-            killed += 1
-        return killed
 
     def _check_drains(self) -> None:
         self._mark_crashes()
@@ -461,7 +434,6 @@ class FleetSimulator(StreamingServer):
             scale_downs=self.scale_downs,
             scale_denied=self.scale_denied,
             drains=self.drains,
-            kills=self.kills,
             kv_migrations=self.sessions.migrations,
             kv_migrated_tokens=self.sessions.migrated_tokens,
             kv_migration_drops=self.sessions.migration_drops,

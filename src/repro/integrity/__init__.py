@@ -15,9 +15,9 @@ makes the SpInfer stack *detect* that instead of serving it:
   experiment over the builtin SDC fault plans, byte-stable JSON.
 
 The C-family lint rules (:mod:`repro.analysis.integrity_lint`) audit
-policies and run outcomes: tags nobody verifies, corruption detected
-but served anyway, quarantine that can never trigger, verification
-modelled as free, and trace/counter conservation.
+run outcomes: corruption detected but served anyway (C002) and an SDC
+ledger that does not balance (C005).  A quarantine that could never
+trigger is refused when its policy is built.
 """
 
 # perfbench's workloads import this from the package itself.

@@ -8,20 +8,18 @@ switch: the runtime is bit-identical to one built before the integrity
 layer existed, which is what the bench's control arm and the CI
 baseline gate pin down.
 
-The broken policies are lint fixtures: each misconfigures the layer in
-a way one C-rule catches, and ``check_builtin_integrity_artifacts``
-reconciles the expected findings exactly.
+A quarantine threshold needs a verification pass to count detections;
+the constructor refuses one without.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Dict, Optional, Tuple
+from typing import ClassVar, Dict, Optional
 
 __all__ = [
     "IntegrityPolicy",
     "INTEGRITY_POLICIES",
-    "BROKEN_INTEGRITY_POLICIES",
     "get_integrity_policy",
 ]
 
@@ -47,8 +45,7 @@ class IntegrityPolicy:
     #: Check weight tile digests (catches persistent bit flips).
     verify_weights: bool = False
     #: Quarantine a replica after this many detected corruptions
-    #: (None = never).  1 is a hair trigger — a single transient flip
-    #: permanently removes capacity (rule C003).
+    #: (None = never).  Needs a verification pass to detect anything.
     quarantine_after: Optional[int] = None
     #: Per-iteration cost of the kernel ABFT pass, as a fraction of the
     #: iteration's decode time.
@@ -64,6 +61,12 @@ class IntegrityPolicy:
         if self.quarantine_after is not None and self.quarantine_after <= 0:
             raise ValueError(
                 "quarantine_after must be positive (or None to disable)"
+            )
+        if self.quarantine_after is not None and not self.verifies_anything:
+            raise ValueError(
+                f"quarantine_after={self.quarantine_after} with no "
+                "verification pass enabled: no detection can ever occur, "
+                "so the quarantine could never trigger"
             )
 
     @property
@@ -86,28 +89,6 @@ INTEGRITY_POLICIES: Dict[str, IntegrityPolicy] = {
         verify_kernels=True,
         verify_weights=True,
         quarantine_after=3,
-    ),
-}
-
-#: Deliberately broken policies -> the C-rule ids each must trip.
-BROKEN_INTEGRITY_POLICIES: Dict[str, Tuple[IntegrityPolicy, Tuple[str, ...]]] = {
-    # One detection permanently removes a replica: a single transient
-    # flip halves the fleet.
-    "hair-trigger-quarantine": (
-        IntegrityPolicy(
-            name="hair-trigger-quarantine",
-            verify_kv=True,
-            verify_kernels=True,
-            verify_weights=True,
-            quarantine_after=1,
-        ),
-        ("C003",),
-    ),
-    # Quarantine threshold configured, but no verification pass can
-    # ever produce a detection — the trigger is unreachable.
-    "quarantine-without-eyes": (
-        IntegrityPolicy(name="quarantine-without-eyes", quarantine_after=3),
-        ("C003",),
     ),
 }
 

@@ -16,7 +16,7 @@ prefill side until the transfer lands), and decode runs through the same
 continuous-batching scheduler the serving simulator uses.  For the
 single-batch configurations compared here the event schedule reproduces
 the closed form exactly — the win is that the same machinery now also
-yields event traces and lintable KV snapshots.
+yields event traces and a KV allocator that the K rules can audit.
 
 Pool KV capacity is demand-sized (``GPUPool(total_blocks=...)``) rather
 than DRAM-derived: whether a deployment's KV actually fits its GPUs is
@@ -78,7 +78,7 @@ class DisaggregatedResult:
     prefill: PhaseBreakdown
     kv_migration_s: float
     decode: PhaseBreakdown
-    #: Full runtime outcome (event trace, KV snapshots, preemptions…);
+    #: Full runtime outcome (event trace, preemptions…);
     #: ``None`` for results constructed by hand.
     stats: Optional[RuntimeStats] = None
 

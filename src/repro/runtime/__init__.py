@@ -17,8 +17,7 @@ as *policies* over that core:
 * :mod:`~repro.runtime.scheduler` — continuous batching with blocking
   or chunked prefill and preemption-by-recompute, plus the two-pool
   disaggregated composition with KV-migration events;
-* :mod:`~repro.runtime.trace` — the event log and K-rule-auditable
-  allocator snapshots.
+* :mod:`~repro.runtime.trace` — the event log.
 
 See docs/RUNTIME.md for the event loop contract, the scheduler modes
 and the trace format.

@@ -52,7 +52,6 @@ __all__ = [
     "FaultPlan",
     "RecoveryPolicy",
     "RECOVERY_POLICIES",
-    "BROKEN_RECOVERY_POLICIES",
     "FaultInjector",
     "FaultTolerantRuntime",
     "builtin_fault_plans",
@@ -350,9 +349,8 @@ class RecoveryPolicy:
 
     Only ``mode`` and ``backoff_base_s`` differ between the shipped
     policies; every other knob is a class constant that they all share.
-    A zero base backoff is constructible on purpose: judging it is rule
-    R001's job (:func:`repro.analysis.fault_lint.lint_recovery_policy`),
-    not the constructor's.
+    A policy that retries needs a positive base backoff: with none, a
+    persistent fault is retried in a tight loop.
     """
 
     name: str
@@ -373,6 +371,12 @@ class RecoveryPolicy:
                 f"unknown recovery mode {self.mode!r}; "
                 f"use one of {RECOVERY_MODES}"
             )
+        if self.mode != "fail_fast" and self.backoff_base_s <= 0:
+            raise ValueError(
+                f"mode={self.mode!r} retries with base backoff "
+                f"{self.backoff_base_s}s: resubmission would be immediate, "
+                "so a persistent fault is retried in a tight loop"
+            )
 
     def backoff_s(self, attempt: int, key: int) -> float:
         """Backoff before retry number ``attempt`` (1-based), with
@@ -381,7 +385,7 @@ class RecoveryPolicy:
             attempt - 1, 0
         )
         jitter = 1.0 + self.jitter_frac * (2.0 * det_hash01(key, attempt) - 1.0)
-        return max(base * jitter, 0.0)
+        return base * jitter
 
 
 #: Sane builtin policies — the three the chaos benchmark compares.
@@ -390,18 +394,6 @@ RECOVERY_POLICIES: Dict[str, RecoveryPolicy] = {
     "retry": RecoveryPolicy(name="retry", mode="retry", backoff_base_s=0.05),
     "reroute": RecoveryPolicy(
         name="reroute", mode="reroute", backoff_base_s=0.02
-    ),
-}
-
-#: Deliberately broken policies the builtin lint sweep must flag, each
-#: with the R-rule ids it is expected to trip.  The sweep treats an
-#: expected finding as informational and the ABSENCE of an expected
-#: finding as an error — the linter is regression-tested by its own CI
-#: gate.
-BROKEN_RECOVERY_POLICIES: Dict[str, Tuple[RecoveryPolicy, Tuple[str, ...]]] = {
-    "spin-retry": (
-        RecoveryPolicy(name="spin-retry", mode="retry", backoff_base_s=0.0),
-        ("R001",),
     ),
 }
 

@@ -8,8 +8,8 @@ The layers, bottom-up:
   turns skip re-prefilling shared history) with crash-safe lazy
   invalidation and provable teardown;
 * :mod:`~repro.server.admission` — the SLO front door: prompt-length
-  buckets, priority tiers, per-tenant token quotas, plus the
-  deliberately broken policies the Q-rule lint sweep must flag;
+  buckets, priority tiers and per-tenant token quotas, each policy
+  checked when it is built;
 * :mod:`~repro.server.streaming` — :class:`StreamingServer` composing
   gate + router + sessions + one deterministic
   :class:`~repro.runtime.request.TokenStream`, and the byte-stable

@@ -8,20 +8,18 @@ router).  Three mechanisms, modelled on production serving stacks
 
 * **Prompt-length buckets** — requests route to the smallest configured
   bucket that holds their prompt; a prompt longer than the largest
-  bucket is refused at the door (Q004 audits the routing function).
+  bucket is refused at the door.
 * **Priority tiers** — pending work releases in ``(priority, arrival,
   request_id)`` order; tier 0 is most urgent.
 * **Per-tenant token quotas** — a tenant may hold at most
   ``tenant_quota_tokens`` worst-case in-flight tokens; requests over
   quota *park* (deterministically) until a terminal event releases
-  quota, rather than being dropped (Q001 catches quotas no request can
-  ever fit under).
+  quota, rather than being dropped.
 
-Like :class:`~repro.runtime.faults.RecoveryPolicy`, a
-:class:`ServerPolicy` is deliberately constructible in broken shapes —
-judging it is the Q-rule linter's job, and
-:data:`BROKEN_SERVER_POLICIES` ships the fixtures the lint sweep must
-flag.
+A :class:`ServerPolicy` refuses at construction the shapes that would
+misroute or starve requests: bucket bounds that are not positive and
+strictly increasing, no priority tier, or a quota below the smallest
+bucket.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ from typing import Dict, List, Optional, Tuple
 __all__ = [
     "ServerPolicy",
     "SERVER_POLICIES",
-    "BROKEN_SERVER_POLICIES",
     "AdmissionGate",
     "get_server_policy",
 ]
@@ -52,6 +49,28 @@ class ServerPolicy:
     priority_tiers: int = 3
     #: Max worst-case in-flight tokens per tenant; None = unlimited.
     tenant_quota_tokens: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        bounds = self.bucket_bounds
+        increasing = all(b1 < b2 for b1, b2 in zip(bounds, bounds[1:]))
+        if not (bounds and bounds[0] > 0 and increasing):
+            raise ValueError(
+                f"bucket bounds {bounds} must be positive and strictly "
+                "increasing: bisect routing would refuse or misroute "
+                "prompts"
+            )
+        if self.priority_tiers < 1:
+            raise ValueError(
+                f"priority_tiers={self.priority_tiers}: parked requests "
+                "need at least one tier to be released in order"
+            )
+        quota = self.tenant_quota_tokens
+        if quota is not None and quota < bounds[0]:
+            raise ValueError(
+                f"tenant quota {quota} tokens is below the smallest "
+                f"bucket bound ({bounds[0]}): prompts the buckets admit "
+                "could exceed it outright and park forever"
+            )
 
     def route_input_to_bucket(self, prompt_len: int) -> Optional[int]:
         """Index of the smallest bucket holding ``prompt_len``, or None
@@ -76,45 +95,6 @@ SERVER_POLICIES: Dict[str, ServerPolicy] = {
         bucket_bounds=(4096,),
         priority_tiers=1,
         tenant_quota_tokens=None,
-    ),
-}
-
-#: Deliberately broken policies with the Q rules each must trip; the
-#: ``repro lint --server`` sweep reconciles findings against this
-#: manifest exactly like the broken recovery policies (R family).
-BROKEN_SERVER_POLICIES: Dict[str, Tuple[ServerPolicy, Tuple[str, ...]]] = {
-    # Quota below the smallest bucket: no request that fits any bucket
-    # can ever be admitted for any tenant.
-    "starved-quota": (
-        ServerPolicy(
-            name="starved-quota",
-            bucket_bounds=(128, 512),
-            priority_tiers=2,
-            tenant_quota_tokens=64,
-        ),
-        ("Q001",),
-    ),
-    # Unsorted bucket bounds: bisect routing sends boundary prompts to
-    # the wrong bucket (and some admissible prompts to no bucket).
-    "shuffled-buckets": (
-        ServerPolicy(
-            name="shuffled-buckets",
-            bucket_bounds=(512, 128, 2048),
-            priority_tiers=2,
-            tenant_quota_tokens=8192,
-        ),
-        ("Q004",),
-    ),
-    # Zero priority tiers (parked-release order undefined) plus a
-    # duplicated bucket bound (the second 128-bucket is unreachable).
-    "no-tiers": (
-        ServerPolicy(
-            name="no-tiers",
-            bucket_bounds=(128, 128, 512),
-            priority_tiers=0,
-            tenant_quota_tokens=8192,
-        ),
-        ("Q001", "Q004"),
     ),
 }
 

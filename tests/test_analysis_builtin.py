@@ -27,10 +27,9 @@ class TestFindings:
             "K001", "K002", "K003", "K004", "K005",
             "O001", "O002", "O003", "O004",
             "D001", "D002", "D003", "D004",
-            "R001",
-            "C002", "C003", "C005",
-            "Q001", "Q002", "Q004",
-            "A001", "A002", "A003", "A005",
+            "C002", "C005",
+            "Q002",
+            "A005",
             "S001", "S002", "S003", "S004", "S005", "S006",
             "H002",
         }
@@ -40,8 +39,8 @@ class TestFindings:
     def test_every_family_has_a_gate_and_rules(self):
         ensure_all_registered()
         assert set(FAMILIES) == {
-            "W", "P", "F", "M", "T", "K", "O", "D", "R", "C", "Q", "S",
-            "H", "A",
+            "W", "P", "F", "M", "T", "K", "O", "D", "C", "Q", "S", "H",
+            "A",
         }
         for fam in FAMILIES.values():
             assert fam.gate.startswith("--")

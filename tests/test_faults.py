@@ -4,7 +4,7 @@ import copy
 
 import pytest
 
-from repro.fleet.autoscaler import AUTOSCALER_POLICIES, BROKEN_AUTOSCALER_POLICIES
+from repro.fleet.autoscaler import AUTOSCALER_POLICIES
 from repro.fleet.planner import FleetConfig, run_fleet_policy
 from repro.llm.chaos import (
     DISAGG_PLANS,
@@ -115,6 +115,17 @@ class TestBackoff:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown recovery mode"):
             RecoveryPolicy(name="p", mode="pray")
+
+    @pytest.mark.parametrize("mode", ["retry", "reroute"])
+    def test_spin_retry_refused(self, mode):
+        # Zero backoff resubmits at once: a persistent fault would be
+        # retried in a tight loop.
+        with pytest.raises(ValueError, match="tight loop"):
+            RecoveryPolicy(name="p", mode=mode, backoff_base_s=0.0)
+
+    def test_fail_fast_needs_no_backoff(self):
+        p = RecoveryPolicy(name="p", mode="fail_fast", backoff_base_s=0.0)
+        assert p.backoff_base_s == 0.0
 
     def test_registry_lookup(self):
         assert get_recovery_policy("retry").mode == "retry"
@@ -408,9 +419,7 @@ def _chaos_run(plan, policy):
 
 def _fleet_run(policy, plan=None):
     def run():
-        pol = AUTOSCALER_POLICIES.get(policy)
-        if pol is None:
-            pol = BROKEN_AUTOSCALER_POLICIES[policy][0]
+        pol = AUTOSCALER_POLICIES[policy]
         out = run_fleet_policy(FleetConfig(quick=True, fault_plan=plan), pol)
         return out.stats, out.turns_submitted
 
@@ -441,13 +450,12 @@ class TestChaosHarness:
         _fleet_run("target-util"),
         _fleet_run("static-2"),
         _fleet_run("target-util", "chaos-mix"),
-        _fleet_run("reaper"),
     ])
     def test_every_request_gets_one_verdict(self, run):
         """Whatever the plan does, the terminal buckets hold each
         submitted request once (``terminate`` refuses a second verdict,
         so this checks that none is lost): every chaos arm, and quick
-        fleet runs across scale events, faults and the reaper's kills."""
+        fleet runs across scale events and faults."""
         stats, submitted = run()
         ids = sorted(
             r.request_id

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.fleet.autoscaler import (
     AUTOSCALER_POLICIES,
-    BROKEN_AUTOSCALER_POLICIES,
     AutoscalerPolicy,
     get_autoscaler_policy,
     static_policy,
@@ -168,9 +167,26 @@ class TestAutoscalerPolicy:
         assert p.desired_replicas(0, 1.0, 0) == p.min_replicas
         assert p.desired_replicas(1, 0.0, 0) == p.min_replicas
 
-    def test_unbounded_policy_constructible(self):
-        p = BROKEN_AUTOSCALER_POLICIES["land-grab"][0]
-        assert p.desired_replicas(10, 1.0, 0) == 11
+    def test_land_grab_refused(self):
+        # No replica ceiling: one traffic spike, an unbounded bill.
+        with pytest.raises(ValueError, match="max_replicas is required"):
+            AutoscalerPolicy(name="p", max_replicas=None)
+
+    def test_flappy_refused(self):
+        # A scale-up trigger on the scale-down floor leaves no
+        # hysteresis band: consecutive evaluations reverse each other.
+        with pytest.raises(ValueError, match="no hysteresis band"):
+            AutoscalerPolicy(name="p", target=AutoscalerPolicy.down_target)
+        with pytest.raises(ValueError, match="no hysteresis band"):
+            AutoscalerPolicy(name="p", mode="queue-depth", target=0.1)
+
+    def test_static_policy_needs_no_band(self):
+        # A static policy never scales, so its target is inert.
+        p = AutoscalerPolicy(
+            name="p", mode="static", min_replicas=2, max_replicas=2,
+            target=AutoscalerPolicy.down_target,
+        )
+        assert p.desired_replicas(2, 1.0, 9) == 2
 
     def test_get_policy_unknown_name(self):
         with pytest.raises(KeyError, match="unknown autoscaler"):
@@ -314,23 +330,6 @@ class TestFleetSimulator:
         assert out.prefix_leaked_blocks == 0
         assert gpu0.pool.allocator.used_blocks == 0
         assert sim.replicas["gpu0"].state == "retired"
-
-    def test_kill_in_flight_sheds_resident_work(self, monkeypatch):
-        # A hair-trigger hysteresis floor forces a scale-down while the
-        # victim still holds work, so the A002 kill path actually fires
-        # (the builtin reaper's victims are idle by the time utilization
-        # crosses its floor).  No shipped policy has these values.
-        monkeypatch.setattr(AutoscalerPolicy, "down_target", 0.45)
-        monkeypatch.setattr(AutoscalerPolicy, "cooldown_s", 0.5)
-        hot_reaper = AutoscalerPolicy(
-            name="hot-reaper", kill_in_flight=True, target=0.5
-        )
-        out = run_fleet_policy(
-            FleetConfig(quick=True, profile="bursty"), hot_reaper
-        )
-        assert out.kills > 0
-        assert len(out.stats.shed) >= out.kills
-        assert out.prefix_leaked_blocks == 0
 
     def test_chaos_arm_heals_crashed_replicas(self):
         out = run_fleet_policy(CHAOS, AUTOSCALER_POLICIES["target-util"])

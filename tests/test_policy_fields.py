@@ -4,9 +4,14 @@ A value that every shipped policy sets the same way is a class
 constant, not a field.  So each dataclass field of the four policy
 classes, ``name`` aside, must take at least two values across the
 shipped policies; the few kept anyway are listed with their reason.
+Each class checks its own fields when it is built, so every shipped
+policy must pass its constructor again, and every mis-configured shape
+the policy lint rules used to flag must fail it.
 """
 
-from dataclasses import fields
+from dataclasses import fields, replace
+
+import pytest
 
 from repro.fleet.autoscaler import AUTOSCALER_POLICIES, AutoscalerPolicy
 from repro.fleet.simulator import ADMIT_ALL
@@ -29,10 +34,6 @@ _VERIFY = (
 
 #: Single-valued fields that stay fields, with the reason.
 KEPT = {
-    "AutoscalerPolicy.kill_in_flight": (
-        "deleting it removes the fleet report's `kills` key, which moves "
-        "the two `fleet --quick` replay pins"
-    ),
     "IntegrityPolicy.verify_kv": _VERIFY,
     "IntegrityPolicy.verify_kernels": _VERIFY,
     "IntegrityPolicy.verify_weights": _VERIFY,
@@ -53,3 +54,45 @@ def test_every_policy_field_is_varied_by_a_shipped_policy():
                 single.append(f"{key} is always {values.pop()!r}")
     assert not single, "make these class constants: " + "; ".join(single)
     assert set(KEPT) <= names, set(KEPT) - names
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [p for policies in SHIPPED.values() for p in policies],
+    ids=lambda p: f"{type(p).__name__}:{p.name}",
+)
+def test_shipped_policy_passes_its_constructor(policy):
+    assert replace(policy) == policy
+
+
+#: The fixtures the deleted ``BROKEN_*_POLICIES`` tables shipped whose
+#: rule is now a constructor check, with the refusal each must meet.
+FORMER_LINT_FIXTURES = [
+    (RecoveryPolicy, dict(name="spin-retry", mode="retry", backoff_base_s=0.0),
+     "tight loop"),
+    (AutoscalerPolicy, dict(name="flappy", target=0.2), "no hysteresis band"),
+    (AutoscalerPolicy, dict(name="land-grab", max_replicas=None),
+     "max_replicas is required"),
+    (ServerPolicy, dict(name="starved-quota", bucket_bounds=(128, 512),
+                        priority_tiers=2, tenant_quota_tokens=64),
+     "below the smallest bucket"),
+    (ServerPolicy, dict(name="shuffled-buckets", bucket_bounds=(512, 128, 2048),
+                        priority_tiers=2, tenant_quota_tokens=8192),
+     "strictly increasing"),
+    # Zero tiers and a duplicated bound: the bounds are checked first.
+    (ServerPolicy, dict(name="no-tiers", bucket_bounds=(128, 128, 512),
+                        priority_tiers=0, tenant_quota_tokens=8192),
+     "strictly increasing"),
+    (IntegrityPolicy, dict(name="quarantine-without-eyes", quarantine_after=3),
+     "no verification pass"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, kwargs, refusal",
+    FORMER_LINT_FIXTURES,
+    ids=[f"{c.__name__}:{kw['name']}" for c, kw, _ in FORMER_LINT_FIXTURES],
+)
+def test_former_lint_fixture_refused(cls, kwargs, refusal):
+    with pytest.raises(ValueError, match=refusal):
+        cls(**kwargs)

@@ -26,9 +26,9 @@ from repro.cli import main
 #: ``repro <command> --json`` -> sha256 of its stdout.
 REPLAYS = {
     "fleet --quick":
-        "436b0adcca869c0cd573395e6a73e6c4be320e82c5d9e4d34ffcc7def1834c4a",
+        "3a5a42d730829ece76187814f319e85b47c9324a7599429962b4ea16d7187fa3",
     "fleet --quick --seed 1 --plan chaos-mix":
-        "c3f18862471a89e15fc41f44ae0edeadc67ff795195a1395f8c70701e5cdcd28",
+        "25da9663316ad268638ad155347793be3e78b7f883ff9664c08c4a8e7dba6c23",
     "server --quick":
         "9b3de3174cac033d709aaa7e1d2080ee7062a843026b88519f30342117f0946b",
     "server --quick --plan gpu-crash":

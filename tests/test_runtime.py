@@ -279,6 +279,38 @@ class TestPreemption:
             "b2a3c9d42af2c9c50090a901943d13fd0ab0bf84338137bed3bb04472bce75b9"
         )
 
+    def test_pool_one_block_short_preempts_the_latest_admitted(self):
+        """Three decoders whose tail blocks are full need a block each
+        and find two free.  One iteration must scan, shed exactly one
+        sequence — the one ``_victim`` picks, under FCFS the latest
+        admitted — and decode the other two."""
+        sim = make_sim()
+        pool = GPUPool(
+            engine=sim.engine, kv_budget_bytes=sim.kv_budget,
+            block_size=16, total_blocks=5,
+        )
+        sched = ContinuousBatchingScheduler(pool, preemption=True)
+        sched.attach(EventLoop())
+        ensure = sched._ensure_decode_capacity
+        alloc = pool.allocator
+        entry = []
+
+        def observed(decoders):
+            needed = alloc.next_token_blocks(s.seq_id for s in decoders)
+            entry.append((len(decoders), alloc.free_blocks, needed))
+            return ensure(decoders)
+
+        sched._ensure_decode_capacity = observed
+        for rid in range(3):
+            sched.submit(SessionRequest(rid, 0.0, 16, 8))
+        sched._start_iteration()
+        assert entry == [(3, 2, 3)]
+        assert [e.seq_id for e in sched.trace.of_kind(EventKind.PREEMPT)] == [2]
+        (step,) = sched.trace.of_kind(EventKind.DECODE_STEP)
+        assert step.info["batch"] == 2
+        assert sorted(sched._running) == [0, 1]
+        assert alloc.free_blocks == 1
+
 
 class TestChunkedPrefill:
     def test_chunk_events_emitted(self):

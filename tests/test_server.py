@@ -125,6 +125,37 @@ class TestServerPolicy:
         with pytest.raises(ValueError, match="unknown server policy"):
             get_server_policy("nope")
 
+    def test_starved_quota_refused(self):
+        # A quota below the smallest bucket: prompts the buckets admit
+        # could exceed it outright and park forever.
+        with pytest.raises(ValueError, match="below the smallest bucket"):
+            ServerPolicy(name="p", bucket_bounds=(128, 512),
+                         tenant_quota_tokens=127)
+        at_bound = ServerPolicy(name="p", bucket_bounds=(128, 512),
+                                tenant_quota_tokens=128)
+        assert at_bound.tenant_quota_tokens == 128
+
+    def test_shuffled_buckets_refused(self):
+        # Unsorted bounds: bisect routing sends boundary prompts to the
+        # wrong bucket.
+        with pytest.raises(ValueError, match="strictly increasing"):
+            ServerPolicy(name="p", bucket_bounds=(512, 128, 2048))
+
+    def test_no_tiers_refused(self):
+        # Parked requests need a tier to be released in order.
+        with pytest.raises(ValueError, match="priority_tiers=0"):
+            ServerPolicy(name="p", priority_tiers=0)
+
+    @pytest.mark.parametrize("bounds", [
+        pytest.param((), id="no-buckets"),
+        pytest.param((0, 128), id="zero-bound"),
+        # The second 128-bucket would be unreachable.
+        pytest.param((128, 128, 512), id="duplicate-bound"),
+    ])
+    def test_bad_bucket_bounds_refused(self, bounds):
+        with pytest.raises(ValueError, match="positive and strictly increasing"):
+            ServerPolicy(name="p", bucket_bounds=bounds)
+
 
 class TestAdmissionGate:
     def make_gate(self, quota=200):
